@@ -2,7 +2,10 @@
 // committed fixtures across refactors of the trace-generation path. The
 // original fixtures were produced by the pre-batching delivery path, so the
 // batch-off runs pin that path byte-for-byte; the `_batched` fixtures pin
-// the default coalesced delivery schedule (DESIGN.md §13).
+// the default coalesced delivery schedule (DESIGN.md §13). The faulted
+// fixtures pin the crash/checkpoint/recovery, partition and lossy-NIC paths
+// of both engines, rendered with ground-truth monitoring samples so the
+// CPU/network series assembly is pinned as well.
 //
 // Set G10_REGEN_GOLDEN=1 (or use the `regen-golden` CMake target /
 // tools/regen_golden.sh) to rewrite every fixture from the current build
@@ -19,6 +22,8 @@
 #include "engine/gas/gas_engine.hpp"
 #include "engine/pregel/pregel_engine.hpp"
 #include "graph/generators.hpp"
+#include "monitor/sampler.hpp"
+#include "sim/fault_injector.hpp"
 #include "trace/log_io.hpp"
 
 namespace g10 {
@@ -56,6 +61,42 @@ std::string render(const trace::RunArtifacts& artifacts) {
   std::ostringstream os;
   trace::write_log(os, artifacts.phase_events, artifacts.blocking_events, {});
   return os.str();
+}
+
+/// Renders phases, blocking events and the ground truth sampled every 10 ms.
+std::string render_with_samples(const trace::RunArtifacts& artifacts) {
+  std::ostringstream os;
+  trace::write_log(os, artifacts.phase_events, artifacts.blocking_events,
+                   monitor::sample_ground_truth(artifacts.ground_truth,
+                                                10 * kMillisecond,
+                                                artifacts.makespan));
+  return os.str();
+}
+
+/// One faulted fixture per engine: `<engine>_pagerank_d512_s99_<suffix>.log`.
+struct FaultFixture {
+  const char* suffix;
+  const char* spec;
+  engine::CrashLogStyle crash_log = engine::CrashLogStyle::kReconciled;
+};
+
+const FaultFixture kFaultFixtures[] = {
+    {"crash", "crash:w1@40%"},
+    {"crash_truncated", "crash:w1@40%", engine::CrashLogStyle::kTruncated},
+    {"part", "part:w0-w1@20%+25%"},
+    {"nic_loss", "nic:w*@0s:x0.5:loss=0.4"},
+    {"crash_slow", "crash:w1@40%,slow:w0@30%+30%:x0.5"},
+};
+
+/// Applies `fixture`'s fault spec and crash-log style to an engine config.
+template <typename Config>
+Config with_faults(Config cfg, const FaultFixture& fixture) {
+  std::string error;
+  const auto spec = sim::FaultSpec::parse(fixture.spec, &error);
+  EXPECT_TRUE(spec.has_value()) << fixture.spec << ": " << error;
+  if (spec) cfg.cluster.faults = *spec;
+  cfg.crash_log = fixture.crash_log;
+  return cfg;
 }
 
 graph::Graph make_graph() {
@@ -108,6 +149,30 @@ TEST(GoldenTraceTest, GasPageRankBatchedMatchesFixture) {
   const auto artifacts = engine::GasEngine(gas_config())
                              .run(make_graph(), algorithms::PageRank(5));
   check_or_regen("gas_pagerank_d512_s99_batched.log", render(artifacts));
+}
+
+TEST(GoldenTraceTest, PregelFaultedRunsMatchFixtures) {
+  for (const auto& fixture : kFaultFixtures) {
+    SCOPED_TRACE(fixture.spec);
+    const auto artifacts =
+        engine::PregelEngine(with_faults(pregel_config(), fixture))
+            .run(make_graph(), algorithms::PageRank(5));
+    check_or_regen(std::string("pregel_pagerank_d512_s99_") + fixture.suffix +
+                       ".log",
+                   render_with_samples(artifacts));
+  }
+}
+
+TEST(GoldenTraceTest, GasFaultedRunsMatchFixtures) {
+  for (const auto& fixture : kFaultFixtures) {
+    SCOPED_TRACE(fixture.spec);
+    const auto artifacts =
+        engine::GasEngine(with_faults(gas_config(), fixture))
+            .run(make_graph(), algorithms::PageRank(5));
+    check_or_regen(std::string("gas_pagerank_d512_s99_") + fixture.suffix +
+                       ".log",
+                   render_with_samples(artifacts));
+  }
 }
 
 TEST(GoldenTraceTest, DataflowMatchesFixture) {

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate the golden trace fixtures in tests/engine/golden/ from the
-# current source tree. Use after an intentional change to the engines'
+# current source tree: the fault-free logs of all three engines and the
+# faulted Pregel/GAS logs (crash, truncated crash, partition, lossy NIC,
+# crash plus slowdown) rendered with ground-truth samples. Use after an intentional change to the engines'
 # observable schedule (and say so in the commit message); the golden tests
 # exist to make unintentional changes loud.
 set -euo pipefail
