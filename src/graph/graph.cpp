@@ -29,45 +29,48 @@ void Graph::set_weights(std::vector<double> weights) {
 }
 
 void Graph::ensure_in_index() const {
-  if (in_built_) return;
-  const VertexId n = vertex_count();
-  in_offsets_.assign(n + 1, 0);
-  for (VertexId t : out_targets_) ++in_offsets_[t + 1];
-  for (VertexId v = 0; v < n; ++v) in_offsets_[v + 1] += in_offsets_[v];
-  in_sources_.resize(out_targets_.size());
-  in_edge_ids_.resize(out_targets_.size());
-  std::vector<EdgeIndex> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
-  for (VertexId u = 0; u < n; ++u) {
-    for (EdgeIndex e = out_offsets_[u]; e < out_offsets_[u + 1]; ++e) {
-      const EdgeIndex slot = cursor[out_targets_[e]]++;
-      in_sources_[slot] = u;
-      in_edge_ids_[slot] = e;
+  InIndex& in = *in_;
+  if (in.built.load(std::memory_order_acquire)) return;
+  std::call_once(in.once, [&] {
+    const VertexId n = vertex_count();
+    in.offsets.assign(n + 1, 0);
+    for (VertexId t : out_targets_) ++in.offsets[t + 1];
+    for (VertexId v = 0; v < n; ++v) in.offsets[v + 1] += in.offsets[v];
+    in.sources.resize(out_targets_.size());
+    in.edge_ids.resize(out_targets_.size());
+    std::vector<EdgeIndex> cursor(in.offsets.begin(), in.offsets.end() - 1);
+    for (VertexId u = 0; u < n; ++u) {
+      for (EdgeIndex e = out_offsets_[u]; e < out_offsets_[u + 1]; ++e) {
+        const EdgeIndex slot = cursor[out_targets_[e]]++;
+        in.sources[slot] = u;
+        in.edge_ids[slot] = e;
+      }
     }
-  }
-  // Sources per target arrive in ascending u order by construction.
-  in_built_ = true;
+    // Sources per target arrive in ascending u order by construction.
+    in.built.store(true, std::memory_order_release);
+  });
 }
 
 double Graph::in_weight(VertexId v, EdgeIndex i) const {
   ensure_in_index();
-  return edge_weight(in_edge_ids_[in_offsets_[v] + i]);
+  return edge_weight(in_->edge_ids[in_->offsets[v] + i]);
 }
 
 std::span<const VertexId> Graph::in_neighbors(VertexId v) const {
   ensure_in_index();
-  return {in_sources_.data() + in_offsets_[v],
-          in_sources_.data() + in_offsets_[v + 1]};
+  return {in_->sources.data() + in_->offsets[v],
+          in_->sources.data() + in_->offsets[v + 1]};
 }
 
 EdgeIndex Graph::in_degree(VertexId v) const {
   ensure_in_index();
-  return in_offsets_[v + 1] - in_offsets_[v];
+  return in_->offsets[v + 1] - in_->offsets[v];
 }
 
 std::span<const EdgeIndex> Graph::in_edge_ids(VertexId v) const {
   ensure_in_index();
-  return {in_edge_ids_.data() + in_offsets_[v],
-          in_edge_ids_.data() + in_offsets_[v + 1]};
+  return {in_->edge_ids.data() + in_->offsets[v],
+          in_->edge_ids.data() + in_->offsets[v + 1]};
 }
 
 bool Graph::has_edge(VertexId u, VertexId v) const {

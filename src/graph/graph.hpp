@@ -4,10 +4,14 @@
 // on this structure. Graphs are stored directed; undirected datasets are
 // symmetrized at build time. Optional in-edge (reverse CSR) indexes are built
 // lazily because only some algorithms (e.g. pull-based PageRank, GAS gather
-// over in-edges) need them.
+// over in-edges) need them. The lazy build runs exactly once even when
+// several threads share one const Graph (the ensemble's dataset cache).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -90,11 +94,16 @@ class Graph {
   bool undirected_ = false;
   std::string name_;
 
-  // Reverse CSR, built lazily (logically const: derived data).
-  mutable std::vector<EdgeIndex> in_offsets_;
-  mutable std::vector<VertexId> in_sources_;
-  mutable std::vector<EdgeIndex> in_edge_ids_;  ///< original edge id
-  mutable bool in_built_ = false;
+  /// Reverse CSR, derived from the immutable out-CSR on first use. Copies
+  /// of a Graph share it (same CSR, same index); a move carries it along.
+  struct InIndex {
+    std::once_flag once;
+    std::atomic<bool> built{false};  ///< fast path once the build is done
+    std::vector<EdgeIndex> offsets;
+    std::vector<VertexId> sources;
+    std::vector<EdgeIndex> edge_ids;  ///< original edge id
+  };
+  std::shared_ptr<InIndex> in_ = std::make_shared<InIndex>();
 };
 
 }  // namespace g10::graph
