@@ -214,4 +214,8 @@ void Subprocess::kill(int sig) const {
   ::kill(pid_, sig);
 }
 
+void Subprocess::kill_group(int sig) const {
+  if (pid_ > 0 && own_group_) ::kill(-pid_, sig);
+}
+
 }  // namespace g10

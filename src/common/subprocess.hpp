@@ -121,6 +121,10 @@ class Subprocess {
   /// Sends `sig` to the child — to its whole process group when it was
   /// spawned with new_process_group (the default). No-op once reaped.
   void kill(int sig) const;
+  /// Sends `sig` to the child's process group only, also after the leader
+  /// was reaped: members it left behind still form the group. No-op for a
+  /// child spawned without its own group.
+  void kill_group(int sig) const;
 
  private:
   pid_t pid_ = -1;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <thread>
 
 #include "common/check.hpp"
 #include "ensemble/journal.hpp"
@@ -193,11 +194,18 @@ SupervisorStats run_supervised(const ScenarioMatrix& matrix,
     ::close(slot.status_fd);
     slot.status_fd = -1;
     // EOF means the worker's last handle on the pipe is gone, i.e. the
-    // process is exiting — but SIGKILL the group anyway so grandchildren a
-    // wedged run may have leaked cannot outlive their slot (orphan
-    // reaping). A zombie leader keeps its real exit status.
+    // process is exiting. Reap the leader first, bounded by the kill grace,
+    // so a clean exit is not turned into a SIGKILL death; a leader still
+    // alive after the grace is killed. Then SIGKILL the group anyway so
+    // grandchildren a wedged run may have leaked cannot outlive their slot
+    // (orphan reaping).
+    const auto grace_end = Clock::now() + seconds(options.kill_grace_s);
+    while (!slot.child.poll() && Clock::now() < grace_end) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     slot.child.kill(SIGKILL);
     const ExitStatus status = slot.child.wait();
+    slot.child.kill_group(SIGKILL);
 
     if (shutting_down) {
       slot.done = true;

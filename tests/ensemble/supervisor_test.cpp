@@ -95,6 +95,34 @@ TEST(SupervisorTest, CleanWorkersFinishTheFleet) {
   EXPECT_FALSE(stats.interrupted);
 }
 
+TEST(SupervisorTest, WorkerExitingAfterClosingItsPipeFinishesCleanly) {
+  // The status pipe reaches EOF a moment before the worker's exit 0. The
+  // supervisor must reap that exit rather than SIGKILL the worker in the
+  // gap and log a crash.
+  for (int round = 0; round < 20; ++round) {
+    const TempDir dir("eof" + std::to_string(round));
+    SupervisorOptions options = fast_options(dir.file("journal.jsonl"));
+    options.jobs = 2;
+    options.command =
+        sh_worker("printf 'hb\\n' >&3; exec 3>&-; sleep 0.01; exit 0");
+    std::size_t finished = 0;
+    std::vector<std::string> other_events;
+    options.on_event = [&](const std::string& message) {
+      if (message.find("finished its shard") != std::string::npos) {
+        ++finished;
+      } else if (message.find("spawned") == std::string::npos) {
+        other_events.push_back(message);
+      }
+    };
+    const SupervisorStats stats = run_supervised(test_matrix(), options);
+    EXPECT_EQ(stats.crashes, 0u) << "round " << round;
+    EXPECT_EQ(stats.wedges, 0u) << "round " << round;
+    EXPECT_EQ(finished, stats.spawned) << "round " << round;
+    EXPECT_TRUE(other_events.empty())
+        << "round " << round << ": " << other_events.front();
+  }
+}
+
 TEST(SupervisorTest, AllReusedFleetSpawnsNothing) {
   const TempDir dir("reused");
   const ScenarioMatrix matrix = test_matrix();
