@@ -29,25 +29,15 @@
 // retransmit backoff during Exchange) and "Recovery" (checkpoint-restart
 // downtime after a crash).
 //
-// Fault injection (ClusterSpec::faults): exchange traffic travels through a
-// sim::ReliableChannel, so NIC loss windows and `part:` partitions cost
-// retransmit time, never correctness. Crashes are detected by heartbeat
-// timeout (sim::FailureDetector) and recovered by restoring the last
-// snapshot and re-ingesting the victim's edge partition; checkpointing is
-// armed only when the spec contains a crash, so fault-free runs stay
-// byte-identical. Iteration path indices keep counting across
-// re-executions, exactly like the Pregel engine's Superstep indices.
+// Fault injection (ClusterSpec::faults) runs on the shared run skeleton
+// (engine/run_skeleton.hpp, DESIGN.md §17), exactly as in the Pregel
+// engine. Exchange traffic travels through the reliable channel, and a
+// restarted crash victim also re-ingests its edge partition.
 #pragma once
 
-#include <cstdint>
-
 #include "algorithms/gas_program.hpp"
-#include "engine/comm_batcher.hpp"
 #include "engine/fault_tolerance.hpp"
-#include "engine/phase_logger.hpp"
 #include "graph/graph.hpp"
-#include "sim/cluster.hpp"
-#include "sim/failure_detector.hpp"
 #include "trace/records.hpp"
 
 namespace g10::engine {
@@ -71,14 +61,6 @@ struct GasCostModel {
   double cpu_intensity_min = 0.85;
 };
 
-/// Unmodeled background CPU (OS daemons); smaller than the JVM engine's.
-struct GasNoiseConfig {
-  bool enabled = true;
-  DurationNs interval = 25 * kMillisecond;
-  double max_cores = 0.4;
-  double sigma = 0.1;
-};
-
 /// Reproduction of the §IV-D synchronization bug. When a gather step on a
 /// worker triggers the bug, one thread receives a message stream right as
 /// the others reach the barrier and keeps processing: its duration grows by
@@ -99,38 +81,24 @@ enum class VertexCutStrategy {
   kRandom,       ///< uniform random edge placement
 };
 
-struct GasConfig {
-  sim::ClusterSpec cluster;
-  int threads_per_worker = 0;  ///< 0 = one per core
-  int chunk_edges = 2048;      ///< gather/scatter work per scheduling chunk
+/// `batch` coalesces exchange traffic per destination. The exchange step is
+/// already one bulk barrier, so here batching only changes how the drained
+/// buffers reach the channel.
+struct GasConfig : RunConfig {
+  /// Unmodeled background CPU (OS daemons) is smaller than the JVM
+  /// engine's.
+  GasConfig() {
+    noise.max_cores = 0.4;
+    noise.sigma = 0.1;
+  }
+
+  int chunk_edges = 2048;  ///< gather/scatter work per scheduling chunk
   GasCostModel costs;
-  /// Per-destination exchange coalescing (on by default; max_batch_bytes = 0
-  /// disables it). The exchange step is already one bulk barrier, so here
-  /// batching only changes how the drained buffers reach the channel.
-  CommBatcherConfig batch;
-  GasNoiseConfig noise;
   SyncBugConfig sync_bug;
   VertexCutStrategy partitioning = VertexCutStrategy::kHashSource;
-  CheckpointConfig checkpoint;
-  RetryConfig retry;
-  /// Heartbeat failure detection; its seed is folded with `seed` so two runs
-  /// differing only in the engine seed also shift their detection latency.
-  sim::FailureDetectorConfig heartbeat;
-  CrashLogStyle crash_log = CrashLogStyle::kReconciled;
-  std::uint64_t seed = 42;
-
-  int effective_threads() const {
-    return threads_per_worker > 0 ? threads_per_worker
-                                  : cluster.machine.cores;
-  }
 };
 
-namespace gas_names {
-inline constexpr const char* kCpu = "cpu";
-inline constexpr const char* kNetwork = "network";
-inline constexpr const char* kRetry = "Retry";
-inline constexpr const char* kRecovery = "Recovery";
-}  // namespace gas_names
+namespace gas_names = run_names;
 
 class GasEngine {
  public:

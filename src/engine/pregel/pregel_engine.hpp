@@ -26,31 +26,18 @@
 // injection — "Retry" (send retry-timeout backoff) and "Recovery"
 // (checkpoint-restart downtime).
 //
-// Fault injection (ClusterSpec::faults): remote sends travel through a
-// sim::ReliableChannel (ack/retransmit with exponential backoff, riding out
-// `part:` network partitions), so message loss costs time — never
-// correctness. Worker crashes are detected by surviving workers through a
-// sim::FailureDetector heartbeat timeout, then handled with
-// checkpoint/restart recovery. By default (CrashLogStyle::kReconciled) the
-// victim's log shipper flushes closing records at the crash instant so the
-// trace stays balanced and strict analysis attributes the lost time to
-// Retry/Recovery; CrashLogStyle::kTruncated reproduces a raw crashed JVM's
-// log (BEGIN-without-END) instead. Superstep path indices keep counting
+// Fault injection (ClusterSpec::faults) runs on the shared run skeleton
+// (engine/run_skeleton.hpp, DESIGN.md §17): remote sends travel through a
+// sim::ReliableChannel, and crashes are detected by heartbeat timeout and
+// recovered from the last checkpoint. Superstep path indices keep counting
 // across re-executions (Superstep.3 crashed -> recovery -> Superstep.4
 // re-runs the same logical superstep), so every path in the log stays
 // unique.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-
 #include "algorithms/pregel_program.hpp"
-#include "engine/comm_batcher.hpp"
 #include "engine/fault_tolerance.hpp"
-#include "engine/phase_logger.hpp"
 #include "graph/graph.hpp"
-#include "sim/cluster.hpp"
-#include "sim/failure_detector.hpp"
 #include "trace/records.hpp"
 
 namespace g10::engine {
@@ -79,17 +66,6 @@ struct PregelCostModel {
   double cpu_intensity_min = 0.80;
 };
 
-/// Unmodeled background CPU activity per machine (OS daemons, JIT compiler
-/// threads): a clamped random walk added to the ground-truth CPU signal.
-/// Grade10's models do not describe it, which contributes realistic
-/// attribution error (paper §IV-B).
-struct NoiseConfig {
-  bool enabled = true;
-  DurationNs interval = 25 * kMillisecond;
-  double max_cores = 1.2;
-  double sigma = 0.3;  ///< random-walk step (cores)
-};
-
 /// Stop-the-world generational GC model.
 struct GcConfig {
   bool enabled = true;
@@ -108,40 +84,22 @@ struct QueueConfig {
   double resume_fraction = 0.5;  ///< unblock when level <= fraction*capacity
 };
 
-struct PregelConfig {
-  sim::ClusterSpec cluster;
-  int threads_per_worker = 0;     ///< 0 = one per core
+struct PregelConfig : RunConfig {
   int partitions_per_thread = 4;  ///< dynamic load-balancing granularity
   int chunk_vertices = 192;       ///< vertices processed per scheduling chunk
   PregelCostModel costs;
   GcConfig gc;
   QueueConfig queue;
-  /// Per-destination send coalescing (on by default; max_batch_bytes = 0
-  /// disables it and restores one transfer per chunk per destination).
-  CommBatcherConfig batch;
-  NoiseConfig noise;
-  CheckpointConfig checkpoint;
-  RetryConfig retry;
-  /// Heartbeat failure detection; its seed is folded with `seed` so two runs
-  /// differing only in the engine seed also shift their detection latency.
-  sim::FailureDetectorConfig heartbeat;
-  CrashLogStyle crash_log = CrashLogStyle::kReconciled;
-  std::uint64_t seed = 42;
-
-  int effective_threads() const {
-    return threads_per_worker > 0 ? threads_per_worker
-                                  : cluster.machine.cores;
-  }
 };
 
 /// Names used in logs and in the matching Grade10 resource model.
 namespace pregel_names {
-inline constexpr const char* kCpu = "cpu";
-inline constexpr const char* kNetwork = "network";
+using run_names::kCpu;
+using run_names::kNetwork;
+using run_names::kRecovery;
+using run_names::kRetry;
 inline constexpr const char* kGc = "GC";
 inline constexpr const char* kMessageQueue = "MessageQueue";
-inline constexpr const char* kRetry = "Retry";
-inline constexpr const char* kRecovery = "Recovery";
 }  // namespace pregel_names
 
 class PregelEngine {
