@@ -75,8 +75,6 @@ struct DecodedBlock {
   std::size_t record_count() const {
     return phase_events.size() + blocking_events.size() + samples.size();
   }
-  /// Approximate decoded footprint, the block cache's cost metric.
-  std::size_t approx_bytes() const;
 };
 
 /// Decodes the payload of `entry` (sliced from the file by the caller).

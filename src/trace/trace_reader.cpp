@@ -1,24 +1,19 @@
 #include "trace/trace_reader.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <fstream>
 #include <future>
+#include <iterator>
+#include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/thread_pool.hpp"
+#include "trace/g10t_io.hpp"
 #include "trace/mapped_file.hpp"
 
 namespace g10::trace {
-
-namespace {
-
-bool time_window_active(const TraceFilter& f) {
-  return f.time_min != 0 || f.time_max != std::numeric_limits<TimeNs>::max();
-}
-
-}  // namespace
 
 bool TraceFilter::matches_machine(MachineId machine) const {
   if (machines.empty() || machine == kGlobalMachine) return true;
@@ -90,147 +85,94 @@ void filter_log(const TraceFilter& filter, ParsedLog& log) {
   });
 }
 
-// --- text ---------------------------------------------------------------
+ParseResult read_text(const MappedFile& file, const TraceReadOptions& options,
+                      const TraceFilter& filter) {
+  ParseOptions parse_options;
+  parse_options.recover = options.recover;
+  parse_options.max_errors = options.max_errors;
+  parse_options.threads = options.threads;
+  ParseResult result = parse_log_text(file.bytes(), parse_options);
+  filter_log(filter, result.log);
+  return result;
+}
 
-class TextTraceReader final : public TraceReader {
- public:
-  TextTraceReader(std::string path, MappedFile file, TraceReadOptions options)
-      : path_(std::move(path)),
-        file_(std::move(file)),
-        options_(std::move(options)) {}
+/// Blocks decoded ahead of the consumer when more than one thread is
+/// available.
+constexpr std::size_t kPrefetchBlocks = 4;
 
-  ParseResult read(const TraceFilter& filter) override {
-    ParseOptions parse_options;
-    parse_options.recover = options_.recover;
-    parse_options.max_errors = options_.max_errors;
-    parse_options.threads = options_.threads;
-    parse_options.min_chunk_bytes = options_.min_chunk_bytes;
-    ParseResult result = parse_log_text(file_.bytes(), parse_options);
-    filter_log(filter, result.log);
-    return result;
+/// Does the filter admit any record of this index entry? Conservative: a
+/// true may still yield zero records, a false never loses one.
+bool block_matches(const TraceFilter& filter,
+                   const std::vector<std::uint64_t>& filter_blooms,
+                   const IndexEntry& entry) {
+  if (entry.record_count == 0) return false;
+  if (entry.time_max < filter.time_min || entry.time_min > filter.time_max) {
+    return false;
   }
-
-  TraceReadStats stats() const override {
-    TraceReadStats out;
-    out.binary = false;
-    out.bytes_mapped = file_.size();
-    return out;
+  if (!filter.machines.empty()) {
+    bool any = entry.machine_min <= kGlobalMachine &&
+               kGlobalMachine <= entry.machine_max;
+    for (const MachineId machine : filter.machines) {
+      if (any) break;
+      any = entry.machine_min <= machine && machine <= entry.machine_max;
+    }
+    if (!any) return false;
   }
-
-  bool is_binary() const override { return false; }
-  const std::string& path() const override { return path_; }
-
- private:
-  std::string path_;
-  MappedFile file_;
-  TraceReadOptions options_;
-};
-
-// --- binary -------------------------------------------------------------
+  if (!filter_blooms.empty() && entry.kind != BlockKind::kSample) {
+    bool any = false;
+    for (const std::uint64_t bit : filter_blooms) {
+      if ((entry.name_bloom & bit) != 0) {
+        any = true;
+        break;
+      }
+    }
+    if (!any) return false;
+  }
+  return true;
+}
 
 struct DecodeOutcome {
-  std::shared_ptr<const DecodedBlock> block;
+  DecodedBlock block;
   std::string error;  ///< empty = success
 };
 
-class BinaryTraceReader final : public TraceReader {
- public:
-  BinaryTraceReader(std::string path, MappedFile file, G10tStructure structure,
-                    TraceReadOptions options)
-      : path_(std::move(path)),
-        file_(std::move(file)),
-        structure_(std::move(structure)),
-        options_(std::move(options)),
-        cache_(BlockCache::Options{options_.cache_budget_bytes, 8}) {}
-
-  ParseResult read(const TraceFilter& filter) override;
-
-  TraceReadStats stats() const override {
-    TraceReadStats out;
-    out.binary = true;
-    out.blocks_total = structure_.index.size();
-    out.blocks_read = blocks_read_.load(std::memory_order_relaxed);
-    out.blocks_skipped = blocks_skipped_.load(std::memory_order_relaxed);
-    out.blocks_decoded = blocks_decoded_.load(std::memory_order_relaxed);
-    out.bytes_mapped = file_.size();
-    out.cache = cache_.stats();
-    return out;
+DecodeOutcome decode_one(const MappedFile& file,
+                         const G10tStructure& structure,
+                         std::size_t ordinal) {
+  const IndexEntry& entry = structure.index[ordinal];
+  DecodeOutcome outcome;
+  const std::string_view payload =
+      file.bytes().substr(entry.offset, entry.encoded_size);
+  try {
+    if (auto error =
+            decode_block(payload, entry, structure.symbols, outcome.block)) {
+      outcome.error = "block " + std::to_string(ordinal) + ": " + *error;
+    }
+  } catch (const std::exception& e) {
+    outcome.error =
+        "block " + std::to_string(ordinal) + ": decode failed: " + e.what();
   }
+  return outcome;
+}
 
-  bool is_binary() const override { return true; }
-  const std::string& path() const override { return path_; }
-  const G10tStructure* structure() const override { return &structure_; }
-
- private:
-  /// Do filter + index entry admit any record overlap? Conservative: a
-  /// true may still yield zero records, a false never loses one.
-  bool block_matches(const TraceFilter& filter,
-                     const std::vector<std::uint64_t>& filter_blooms,
-                     const IndexEntry& entry) const {
-    if (entry.record_count == 0) return false;
-    if (entry.time_max < filter.time_min || entry.time_min > filter.time_max) {
-      return false;
-    }
-    if (!filter.machines.empty()) {
-      bool any = entry.machine_min <= kGlobalMachine &&
-                 kGlobalMachine <= entry.machine_max;
-      for (const MachineId machine : filter.machines) {
-        if (any) break;
-        any = entry.machine_min <= machine && machine <= entry.machine_max;
-      }
-      if (!any) return false;
-    }
-    if (!filter_blooms.empty() && entry.kind != BlockKind::kSample) {
-      bool any = false;
-      for (const std::uint64_t bit : filter_blooms) {
-        if ((entry.name_bloom & bit) != 0) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) return false;
-    }
-    return true;
+template <typename Record>
+void append(const TraceFilter& filter, std::vector<Record>& from,
+            std::vector<Record>& to) {
+  if (filter.empty()) {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+    return;
   }
-
-  DecodeOutcome decode_one(std::size_t ordinal) {
-    const IndexEntry& entry = structure_.index[ordinal];
-    DecodeOutcome outcome;
-    const std::string_view payload =
-        file_.bytes().substr(entry.offset, entry.encoded_size);
-    auto block = std::make_shared<DecodedBlock>();
-    try {
-      if (auto error = decode_block(payload, entry, structure_.symbols,
-                                    *block)) {
-        outcome.error =
-            "block " + std::to_string(ordinal) + ": " + *error;
-        return outcome;
-      }
-    } catch (const std::exception& e) {
-      outcome.error =
-          "block " + std::to_string(ordinal) + ": decode failed: " + e.what();
-      return outcome;
-    }
-    blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
-    outcome.block = std::move(block);
-    cache_.put(ordinal, outcome.block);
-    return outcome;
+  for (Record& rec : from) {
+    if (filter.matches(rec)) to.push_back(std::move(rec));
   }
+}
 
-  std::string path_;
-  MappedFile file_;
-  G10tStructure structure_;
-  TraceReadOptions options_;
-  BlockCache cache_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::atomic<std::uint64_t> blocks_read_{0};
-  std::atomic<std::uint64_t> blocks_skipped_{0};
-  std::atomic<std::uint64_t> blocks_decoded_{0};
-};
-
-ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
+ParseResult read_binary(const MappedFile& file, const G10tStructure& structure,
+                        const TraceReadOptions& options,
+                        const TraceFilter& filter) {
   ParseResult result;
-  result.log.meta = structure_.meta;
+  result.log.meta = structure.meta;
 
   // Seek: reject blocks via the index alone.
   std::vector<std::uint64_t> filter_blooms;
@@ -245,29 +187,20 @@ ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
     }
   }
   std::vector<std::size_t> selected;
-  selected.reserve(structure_.index.size());
-  for (std::size_t i = 0; i < structure_.index.size(); ++i) {
-    if (block_matches(filter, filter_blooms, structure_.index[i])) {
+  selected.reserve(structure.index.size());
+  for (std::size_t i = 0; i < structure.index.size(); ++i) {
+    if (block_matches(filter, filter_blooms, structure.index[i])) {
       selected.push_back(i);
-    } else {
-      blocks_skipped_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  blocks_read_.fetch_add(selected.size(), std::memory_order_relaxed);
 
-  // Async prefetch: keep the next few blocks decoding on the pool while
-  // the consumer appends the current one downstream.
-  const std::size_t pool_threads =
-      ThreadPool::resolve_threads(options_.threads > 0
-                                      ? static_cast<std::size_t>(
-                                            options_.threads)
-                                      : 0);
-  const std::size_t prefetch_depth =
-      pool_threads > 1 ? options_.prefetch_blocks : 0;
-  if (prefetch_depth > 0 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(
-        ThreadPool::Options{pool_threads, 4096});
-  }
+  // Prefetch: keep the next few blocks decoding on the pool while the
+  // consumer appends the current one.
+  const std::size_t pool_threads = ThreadPool::resolve_threads(
+      options.threads > 0 ? static_cast<std::size_t>(options.threads) : 0);
+  const std::size_t prefetch_depth = pool_threads > 1 ? kPrefetchBlocks : 0;
+  std::optional<ThreadPool> pool;
+  if (prefetch_depth > 0) pool.emplace(pool_threads);
 
   struct InFlight {
     std::size_t ordinal = 0;
@@ -281,29 +214,21 @@ ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
     in_flight.clear();
   };
 
-  const bool record_filter_active = !filter.machines.empty() ||
-                                    !filter.phase_types.empty() ||
-                                    time_window_active(filter);
-
   for (std::size_t k = 0; k < selected.size(); ++k) {
     if (prefetch_depth > 0) {
       if (next_prefetch <= k) next_prefetch = k + 1;
       while (next_prefetch < selected.size() &&
              in_flight.size() < prefetch_depth) {
         const std::size_t ordinal = selected[next_prefetch++];
-        const IndexEntry& entry = structure_.index[ordinal];
-        file_.advise_will_need(entry.offset, entry.encoded_size);
+        const IndexEntry& entry = structure.index[ordinal];
+        file.advise_will_need(entry.offset, entry.encoded_size);
         auto promise = std::make_shared<std::promise<DecodeOutcome>>();
         InFlight flight;
         flight.ordinal = ordinal;
         flight.future = promise->get_future();
         in_flight.push_back(std::move(flight));
-        pool_->submit([this, ordinal, promise] {
-          if (auto cached = cache_.get(ordinal)) {
-            promise->set_value(DecodeOutcome{std::move(cached), {}});
-            return;
-          }
-          promise->set_value(decode_one(ordinal));
+        pool->submit([&file, &structure, ordinal, promise] {
+          promise->set_value(decode_one(file, structure, ordinal));
         });
       }
     }
@@ -313,10 +238,8 @@ ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
     if (!in_flight.empty() && in_flight.front().ordinal == ordinal) {
       outcome = in_flight.front().future.get();
       in_flight.pop_front();
-    } else if (auto cached = cache_.get(ordinal)) {
-      outcome.block = std::move(cached);
     } else {
-      outcome = decode_one(ordinal);
+      outcome = decode_one(file, structure, ordinal);
     }
 
     if (!outcome.error.empty()) {
@@ -326,53 +249,44 @@ ParseResult BinaryTraceReader::read(const TraceFilter& filter) {
       ++result.error_count;
       ParseError diagnostic{ordinal + 1, outcome.error, ""};
       if (!result.error) result.error = diagnostic;
-      if (result.errors.size() < options_.max_errors) {
+      if (result.errors.size() < options.max_errors) {
         result.errors.push_back(std::move(diagnostic));
       }
-      if (!options_.recover) {
+      if (!options.recover) {
         drain();
         return result;
       }
       continue;
     }
 
-    const DecodedBlock& block = *outcome.block;
-    if (!record_filter_active) {
-      result.log.phase_events.insert(result.log.phase_events.end(),
-                                     block.phase_events.begin(),
-                                     block.phase_events.end());
-      result.log.blocking_events.insert(result.log.blocking_events.end(),
-                                        block.blocking_events.begin(),
-                                        block.blocking_events.end());
-      result.log.samples.insert(result.log.samples.end(),
-                                block.samples.begin(), block.samples.end());
-      continue;
-    }
-    for (const PhaseEventRecord& rec : block.phase_events) {
-      if (filter.matches(rec)) result.log.phase_events.push_back(rec);
-    }
-    for (const BlockingEventRecord& rec : block.blocking_events) {
-      if (filter.matches(rec)) result.log.blocking_events.push_back(rec);
-    }
-    for (const MonitoringSampleRecord& rec : block.samples) {
-      if (filter.matches(rec)) result.log.samples.push_back(rec);
-    }
+    DecodedBlock& block = outcome.block;
+    append(filter, block.phase_events, result.log.phase_events);
+    append(filter, block.blocking_events, result.log.blocking_events);
+    append(filter, block.samples, result.log.samples);
   }
   drain();
   return result;
 }
 
+ParseResult file_error(std::string message, const TraceReadOptions& options) {
+  ParseResult result;
+  ParseError error{0, std::move(message), ""};
+  result.error = error;
+  result.error_count = 1;
+  if (options.max_errors > 0) result.errors.push_back(std::move(error));
+  return result;
+}
+
 }  // namespace
 
-TraceReader::OpenResult TraceReader::open(const std::string& path,
-                                          const TraceReadOptions& options) {
-  OpenResult out;
+ParseResult read_trace_file(const std::string& path,
+                            const TraceReadOptions& options,
+                            const TraceFilter& filter) {
   MappedFile file;
   if (auto error =
           MappedFile::open(path, MappedFile::Options{options.use_mmap},
                            file)) {
-    out.error = std::move(*error);
-    return out;
+    return file_error(std::move(*error), options);
   }
 
   TraceFormat format = options.format;
@@ -380,35 +294,13 @@ TraceReader::OpenResult TraceReader::open(const std::string& path,
     format = looks_like_g10t(file.bytes()) ? TraceFormat::kBinary
                                            : TraceFormat::kText;
   }
-  if (format == TraceFormat::kText) {
-    out.reader = std::make_unique<TextTraceReader>(path, std::move(file),
-                                                   options);
-    return out;
-  }
+  if (format == TraceFormat::kText) return read_text(file, options, filter);
 
   G10tStructureParse structure = parse_g10t_structure(file.bytes());
   if (!structure.ok()) {
-    out.error = path + ": " + *structure.error;
-    return out;
+    return file_error(path + ": " + *structure.error, options);
   }
-  out.reader = std::make_unique<BinaryTraceReader>(
-      path, std::move(file), std::move(structure.structure), options);
-  return out;
-}
-
-ParseResult read_trace_file(const std::string& path,
-                            const TraceReadOptions& options,
-                            const TraceFilter& filter) {
-  TraceReader::OpenResult opened = TraceReader::open(path, options);
-  if (!opened.ok()) {
-    ParseResult result;
-    ParseError error{0, *opened.error, ""};
-    result.error = error;
-    result.error_count = 1;
-    if (options.max_errors > 0) result.errors.push_back(std::move(error));
-    return result;
-  }
-  return opened.reader->read(filter);
+  return read_binary(file, structure.structure, options, filter);
 }
 
 }  // namespace g10::trace

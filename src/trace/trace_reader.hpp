@@ -1,27 +1,25 @@
-// Format-independent trace ingestion: text logs and `.g10t` binary traces
-// behind one reader interface, with seek-by-block filtering, an LRU block
-// cache, and asynchronous decode prefetch (DESIGN.md §16).
+// Format-independent trace ingestion: read_trace_file reads a text log or
+// a `.g10t` binary trace in one call, with seek-by-block filtering on
+// binary input (DESIGN.md §16).
 //
-// TraceReader::open() sniffs the file (the .g10t magic wins over any
-// extension) and returns the matching implementation:
+// The format comes from TraceReadOptions::format, or from the file's bytes
+// (the .g10t magic wins over any extension) when it is kAuto:
 //
-//  - Text: the file is mapped (or buffered) and handed to the existing
-//    chunked zero-copy parser; filters are applied per record after the
-//    parse. Byte-for-byte the same results as read_log_file.
-//  - Binary: the file is mapped; only the header, symbol table, META
-//    section, and block index are touched up front. read() walks the index,
-//    skips blocks whose (machine range, time range, path-type bloom) cannot
-//    match the filter, and decodes the rest through a byte-budgeted sharded
-//    LRU cache — so a warm re-read decodes nothing, and a filtered read
-//    touches only relevant blocks. With prefetch enabled, upcoming block
-//    decodes run on a ThreadPool and overlap with the consumer appending
-//    records downstream.
+//  - Text: the file is mapped (or buffered) and handed to the chunked
+//    zero-copy parser; filters are applied per record after the parse.
+//    Byte-for-byte the same results as read_log_file.
+//  - Binary: the file is mapped; the header, symbol table, META section,
+//    and block index are parsed, then the index is walked: blocks whose
+//    (machine range, time range, path-type bloom) cannot match the filter
+//    are skipped without touching their payloads, and the rest are decoded
+//    once, in index order. With more than one thread, the next few block
+//    decodes run on a ThreadPool while the current block is appended.
 //
-// Both implementations return the same ParseResult shape the text parser
-// produces: corrupt binary blocks surface as ParseError entries (with the
-// block ordinal in the message), honoring recover/strict semantics — a
-// strict read stops at the first corrupt block, a recovering read skips it
-// and keeps going. An unfiltered read of a converted trace yields records
+// Both formats return the same ParseResult shape the text parser produces:
+// corrupt binary blocks surface as ParseError entries (with the block
+// ordinal in the message), honoring recover/strict semantics — a strict
+// read stops at the first corrupt block, a recovering read skips it and
+// keeps going. An unfiltered read of a converted trace yields records
 // byte-identical (through write_log) to parsing the original text.
 //
 // Filter semantics (identical for both formats, enforced by tests):
@@ -42,13 +40,10 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "trace/block_cache.hpp"
-#include "trace/g10t_io.hpp"
 #include "trace/log_io.hpp"
 
 namespace g10::trace {
@@ -99,58 +94,16 @@ struct TraceReadOptions {
   bool recover = false;
   /// Parse / prefetch concurrency (0 = auto via G10_THREADS).
   int threads = 0;
-  /// Decoded-byte budget of the binary block cache.
-  std::size_t cache_budget_bytes = std::size_t{256} << 20;
-  /// Blocks to decode ahead of the consumer (0 = synchronous decode).
-  std::size_t prefetch_blocks = 4;
   /// false = buffered read instead of mmap (identity-test knob).
   bool use_mmap = true;
   /// Forwarded to the text parser.
   std::size_t max_errors = 64;
-  std::size_t min_chunk_bytes = 1 << 20;
 };
 
-struct TraceReadStats {
-  bool binary = false;
-  std::uint64_t blocks_total = 0;
-  std::uint64_t blocks_read = 0;     ///< matched the filter
-  std::uint64_t blocks_skipped = 0;  ///< rejected via the index alone
-  std::uint64_t blocks_decoded = 0;  ///< actual payload decodes (cache misses)
-  std::size_t bytes_mapped = 0;
-  BlockCache::Stats cache;
-};
-
-class TraceReader {
- public:
-  virtual ~TraceReader() = default;
-
-  /// Reads every record matching `filter`, in stream order. Repeated calls
-  /// are byte-identical; on a binary reader the second call is warm.
-  virtual ParseResult read(const TraceFilter& filter = {}) = 0;
-
-  virtual TraceReadStats stats() const = 0;
-  virtual bool is_binary() const = 0;
-  virtual const std::string& path() const = 0;
-
-  /// Binary only: the parsed file structure (header, symbols, index);
-  /// nullptr for text readers.
-  virtual const G10tStructure* structure() const { return nullptr; }
-
-  struct OpenResult {
-    std::unique_ptr<TraceReader> reader;
-    std::optional<std::string> error;
-    bool ok() const { return reader != nullptr; }
-  };
-
-  /// Opens `path` in the resolved format. Unreadable files, truncated or
-  /// corrupt `.g10t` headers/sections all come back as `error` — never an
-  /// assert or exception.
-  static OpenResult open(const std::string& path,
-                         const TraceReadOptions& options = {});
-};
-
-/// One-call convenience: open + read. File-level open errors are reported
-/// the way read_log_file does (one ParseError with line_number 0).
+/// Reads every record of `path` matching `filter`, in stream order.
+/// File-level failures — unreadable file, truncated or corrupt `.g10t`
+/// header or section table — are reported the way read_log_file does (one
+/// ParseError with line_number 0), never as an assert or exception.
 ParseResult read_trace_file(const std::string& path,
                             const TraceReadOptions& options = {},
                             const TraceFilter& filter = {});

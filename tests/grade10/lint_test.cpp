@@ -370,12 +370,10 @@ TEST(BinaryTraceLintTest, CorruptBlockYieldsItsOwnFinding) {
   std::ofstream(path, std::ios::binary) << bytes;
 
   trace::TraceReadOptions options;
+  options.format = trace::sniff_trace_format(path).format;
   options.recover = true;
-  trace::TraceReader::OpenResult opened = trace::TraceReader::open(path,
-                                                                   options);
-  ASSERT_TRUE(opened.ok()) << *opened.error;
-  ASSERT_TRUE(opened.reader->is_binary());
-  const trace::ParseResult damaged = opened.reader->read();
+  ASSERT_EQ(options.format, trace::TraceFormat::kBinary);
+  const trace::ParseResult damaged = trace::read_trace_file(path, options);
   EXPECT_EQ(damaged.error_count, 1u);
 
   const LintReport report =

@@ -232,6 +232,18 @@ TEST(AnalyzeExitCodeTest, BadFilterSyntaxIsBadArgs) {
   EXPECT_EQ(exit_code(base + " --time-range 10"), kExitBadArgs);
   EXPECT_EQ(exit_code(base + " --time-range 50:10"), kExitBadArgs);
   EXPECT_EQ(exit_code(base + " --machines 1,x"), kExitBadArgs);
+  EXPECT_EQ(exit_code(base + " --machines 99999999999"), kExitBadArgs);
+  EXPECT_EQ(exit_code(base + " --timeslice-ms 0"), kExitBadArgs);
+  EXPECT_EQ(exit_code(base + " --timeslice-ms -5"), kExitBadArgs);
+  EXPECT_EQ(exit_code(base + " --timeslice-ms abc"), kExitBadArgs);
+  EXPECT_EQ(exit_code(base + " --min-impact abc"), kExitBadArgs);
+  EXPECT_EQ(exit_code(base + " --threads abc"), kExitBadArgs);
+}
+
+TEST(LintExitCodeTest, UnparseableThreadsIsBadArgs) {
+  EXPECT_EQ(exit_code(std::string(G10_LINT_BIN) + " --model " +
+                      ok_artifacts() + "/model.g10 --threads abc"),
+            kExitBadArgs);
 }
 
 TEST(DetCheckExitCodeTest, IdenticalExecutionsAreZero) {

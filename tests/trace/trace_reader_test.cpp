@@ -1,7 +1,7 @@
-// The format-independent TraceReader: text-vs-binary identity over the
-// golden engine traces, mmap-vs-buffered identity, warm-cache re-reads,
-// filter equivalence across formats, corrupt-block strict/lenient
-// semantics, and prefetch-on/off determinism.
+// Format-independent read_trace_file: text-vs-binary identity over the
+// golden engine traces, mmap-vs-buffered identity, filter equivalence
+// across formats, index-level block skipping, corrupt-block strict/lenient
+// semantics, and serial-vs-prefetching determinism.
 #include "trace/trace_reader.hpp"
 
 #include <gtest/gtest.h>
@@ -96,32 +96,11 @@ TEST(TraceReaderTest, BufferedReadMatchesMmapForBothFormats) {
   }
 }
 
-TEST(TraceReaderTest, WarmReadDecodesNothingAndStaysIdentical) {
-  TraceReader::OpenResult opened =
-      TraceReader::open(binary_of(golden_logs()[1]), {});
-  ASSERT_TRUE(opened.ok()) << *opened.error;
-  const ParseResult cold = opened.reader->read();
-  ASSERT_TRUE(cold.ok());
-  const auto cold_stats = opened.reader->stats();
-  EXPECT_GT(cold_stats.blocks_decoded, 0u);
-  EXPECT_EQ(cold_stats.blocks_total,
-            cold_stats.blocks_read + cold_stats.blocks_skipped);
-
-  const ParseResult warm = opened.reader->read();
-  const auto warm_stats = opened.reader->stats();
-  EXPECT_EQ(warm_stats.blocks_decoded, cold_stats.blocks_decoded)
-      << "warm read re-decoded blocks despite the cache";
-  EXPECT_GT(warm_stats.cache.hits, 0u);
-  EXPECT_EQ(render(warm.log), render(cold.log));
-}
-
 TEST(TraceReaderTest, PrefetchOnAndOffProduceIdenticalResults) {
   TraceReadOptions serial;
   serial.threads = 1;
-  serial.prefetch_blocks = 0;
   TraceReadOptions prefetching;
   prefetching.threads = 4;
-  prefetching.prefetch_blocks = 3;
   for (const std::string& name : golden_logs()) {
     const std::string path = binary_of(name, 16);  // many small blocks
     const ParseResult a = read_trace_file(path, serial);
@@ -173,21 +152,6 @@ TEST(TraceReaderTest, PhaseFilterKeepsSubtreePlusAncestorChainOnly) {
   EXPECT_TRUE(saw_superstep);
 }
 
-TEST(TraceReaderTest, FilteredBinaryReadSkipsBlocks) {
-  const std::string path = binary_of(golden_logs()[0], 16);
-  TraceReader::OpenResult opened = TraceReader::open(path, {});
-  ASSERT_TRUE(opened.ok());
-  TraceFilter filter;
-  filter.time_min = 0;
-  filter.time_max = 1;  // virtually nothing overlaps
-  const ParseResult result = opened.reader->read(filter);
-  ASSERT_TRUE(result.ok());
-  const auto stats = opened.reader->stats();
-  EXPECT_GT(stats.blocks_total, 1u);
-  EXPECT_GT(stats.blocks_skipped, 0u)
-      << "index-based seek never rejected a block";
-}
-
 TEST(TraceReaderTest, BufferedTinyFileSurvivesMove) {
   // Files below std::string's SSO capacity live in the buffer's inline
   // storage; regression for a move that left the view pointing at the
@@ -229,14 +193,21 @@ TEST(TraceReaderTest, CorruptHeaderIsAnOpenError) {
   }
   bytes[30] ^= 0x7f;
   std::ofstream(path, std::ios::binary) << bytes;
-  TraceReader::OpenResult opened = TraceReader::open(path, {});
-  EXPECT_FALSE(opened.ok());
-  EXPECT_NE(opened.error->find(path), std::string::npos);
+  const ParseResult result = read_trace_file(path);
+  ASSERT_TRUE(result.error.has_value());
+  EXPECT_EQ(result.error->line_number, 0u);
+  EXPECT_NE(result.error->message.find(path), std::string::npos);
 }
+
+struct CorruptTrace {
+  std::string path;
+  std::size_t ordinal = 0;  ///< 0-based index of the damaged block
+  IndexEntry victim;
+};
 
 /// Corrupts the payload of one middle block; the header and index stay
 /// intact so only that block fails to decode.
-std::string corrupt_one_block(const std::string& name) {
+CorruptTrace corrupt_one_block(const std::string& name) {
   const std::string path = (test_root() / (name + ".corrupt.g10t")).string();
   std::string bytes;
   {
@@ -248,15 +219,15 @@ std::string corrupt_one_block(const std::string& name) {
   const G10tStructureParse parsed = parse_g10t_structure(bytes);
   EXPECT_TRUE(parsed.ok());
   EXPECT_GT(parsed.structure.index.size(), 2u);
-  const IndexEntry& victim =
-      parsed.structure.index[parsed.structure.index.size() / 2];
+  const std::size_t ordinal = parsed.structure.index.size() / 2;
+  const IndexEntry& victim = parsed.structure.index[ordinal];
   bytes[victim.offset + victim.encoded_size / 2] ^= 0x33;
   std::ofstream(path, std::ios::binary) << bytes;
-  return path;
+  return {path, ordinal, victim};
 }
 
 TEST(TraceReaderTest, CorruptBlockStopsAStrictRead) {
-  const std::string path = corrupt_one_block(golden_logs()[0]);
+  const std::string path = corrupt_one_block(golden_logs()[0]).path;
   TraceReadOptions strict;
   strict.recover = false;
   const ParseResult result = read_trace_file(path, strict);
@@ -269,7 +240,7 @@ TEST(TraceReaderTest, CorruptBlockStopsAStrictRead) {
 
 TEST(TraceReaderTest, CorruptBlockIsSkippedWhenRecovering) {
   const std::string name = golden_logs()[0];
-  const std::string path = corrupt_one_block(name);
+  const std::string path = corrupt_one_block(name).path;
   TraceReadOptions recover;
   recover.recover = true;
   const ParseResult damaged = read_trace_file(path, recover);
@@ -280,6 +251,25 @@ TEST(TraceReaderTest, CorruptBlockIsSkippedWhenRecovering) {
   EXPECT_LT(damaged.log.phase_events.size() + damaged.log.samples.size(),
             intact.log.phase_events.size() + intact.log.samples.size());
   EXPECT_GT(damaged.log.phase_events.size(), 0u);
+}
+
+TEST(TraceReaderTest, FilteredBinaryReadSkipsBlocks) {
+  // A block the index rules out is never decoded, so damage inside it
+  // cannot fail a strict read whose time window excludes it.
+  const CorruptTrace corrupt = corrupt_one_block(golden_logs()[0]);
+  ASSERT_GT(corrupt.victim.time_min, 0);
+  TraceFilter window;
+  window.time_max = corrupt.victim.time_min - 1;
+  TraceReadOptions strict;
+  strict.recover = false;
+
+  const ParseResult filtered = read_trace_file(corrupt.path, strict, window);
+  ASSERT_TRUE(filtered.ok()) << filtered.error->message;
+  EXPECT_FALSE(filtered.log.phase_events.empty());
+
+  const ParseResult unfiltered = read_trace_file(corrupt.path, strict);
+  ASSERT_TRUE(unfiltered.error.has_value());
+  EXPECT_EQ(unfiltered.error->line_number, corrupt.ordinal + 1);
 }
 
 }  // namespace

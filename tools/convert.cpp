@@ -34,6 +34,7 @@
 #include "common/strings.hpp"
 #include "trace/g10t_io.hpp"
 #include "trace/log_io.hpp"
+#include "trace/mapped_file.hpp"
 #include "trace/trace_reader.hpp"
 
 namespace g10 {
@@ -110,25 +111,22 @@ std::string render_canonical(const trace::ParsedLog& log) {
 }
 
 int run(const Args& args) {
+  // An unreadable file sniffs as text; the read below reports it.
   trace::TraceReadOptions read_options;
+  read_options.format = trace::sniff_trace_format(args.in_path).format;
   read_options.recover = args.lenient;
   read_options.threads = args.threads;
-  trace::TraceReader::OpenResult opened =
-      trace::TraceReader::open(args.in_path, read_options);
-  if (!opened.ok()) {
-    std::cerr << *opened.error << '\n';
-    return kExitParseFailure;
-  }
-  trace::TraceReader& reader = *opened.reader;
+  const bool from_binary = read_options.format == trace::TraceFormat::kBinary;
 
-  trace::ParseResult parsed = reader.read();
+  trace::ParseResult parsed =
+      trace::read_trace_file(args.in_path, read_options);
   if (parsed.error && parsed.error->line_number == 0) {
     std::cerr << parsed.error->message << '\n';
     return kExitParseFailure;
   }
   if (!parsed.ok() && !args.lenient) {
     std::cerr << args.in_path << ": " << parsed.error_count << " damaged "
-              << (reader.is_binary() ? "block(s)" : "line(s)")
+              << (from_binary ? "block(s)" : "line(s)")
               << "; re-run with --lenient to convert the rest:\n";
     for (const auto& error : parsed.errors) {
       std::cerr << "  " << error.message << '\n';
@@ -137,13 +135,12 @@ int run(const Args& args) {
   }
   if (parsed.error_count > 0) {
     std::cout << "lenient: skipped " << parsed.error_count << " damaged "
-              << (reader.is_binary() ? "block(s)" : "line(s)") << '\n';
+              << (from_binary ? "block(s)" : "line(s)") << '\n';
   }
 
   trace::TraceFormat to = args.to;
   if (to == trace::TraceFormat::kAuto) {
-    to = reader.is_binary() ? trace::TraceFormat::kText
-                            : trace::TraceFormat::kBinary;
+    to = from_binary ? trace::TraceFormat::kText : trace::TraceFormat::kBinary;
   }
 
   if (to == trace::TraceFormat::kBinary) {
@@ -172,20 +169,22 @@ int run(const Args& args) {
   }
 
   std::cout << "converted " << args.in_path << " ("
-            << (reader.is_binary() ? "binary" : "text") << ") -> "
+            << (from_binary ? "binary" : "text") << ") -> "
             << args.out_path << " ("
             << (to == trace::TraceFormat::kBinary ? "binary" : "text")
             << "): " << parsed.log.phase_events.size() << " phase events, "
             << parsed.log.blocking_events.size() << " blocking events, "
             << parsed.log.samples.size() << " samples";
   if (to == trace::TraceFormat::kBinary) {
-    trace::TraceReader::OpenResult written =
-        trace::TraceReader::open(args.out_path, {});
-    if (written.ok() && written.reader->structure() != nullptr) {
-      const trace::G10tStructure& structure = *written.reader->structure();
-      std::cout << ", " << structure.index.size() << " blocks, "
-                << structure.symbols.size() << " symbols, "
-                << structure.header.file_size << " bytes";
+    trace::MappedFile written;
+    if (!trace::MappedFile::open(args.out_path, {}, written)) {
+      const trace::G10tStructureParse parse =
+          trace::parse_g10t_structure(written.bytes());
+      if (parse.ok()) {
+        std::cout << ", " << parse.structure.index.size() << " blocks, "
+                  << parse.structure.symbols.size() << " symbols, "
+                  << parse.structure.header.file_size << " bytes";
+      }
     }
   }
   std::cout << '\n';

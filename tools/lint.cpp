@@ -18,6 +18,7 @@
 // --werror), 2 = usage or I/O failure.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -70,8 +71,11 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--log") {
       args.log_path = value;
     } else if (arg == "--threads") {
-      args.threads = static_cast<int>(parse_int(value).value_or(0));
-      if (args.threads < 0) return std::nullopt;
+      const auto n = parse_int(value);
+      if (!n || *n < 0 || *n > std::numeric_limits<int>::max()) {
+        return std::nullopt;
+      }
+      args.threads = static_cast<int>(*n);
     } else {
       return std::nullopt;
     }
@@ -115,23 +119,20 @@ int run(const Args& args) {
       report = lint::preflight_model(*model_text, args.model_path);
       std::cerr << "model does not parse; skipping trace lint\n";
     } else {
+      // An unreadable file sniffs as text; the read below reports it.
       trace::TraceReadOptions options;
+      options.format = trace::sniff_trace_format(args.log_path).format;
       options.recover = true;
       options.threads = args.threads;
-      trace::TraceReader::OpenResult opened =
-          trace::TraceReader::open(args.log_path, options);
-      if (!opened.ok()) {
-        std::cerr << *opened.error << '\n';
-        return 2;
-      }
-      const trace::ParseResult log = opened.reader->read();
+      const trace::ParseResult log =
+          trace::read_trace_file(args.log_path, options);
       if (log.error && log.error->line_number == 0) {
         std::cerr << log.error->message << '\n';
         return 2;
       }
       report = lint::preflight(*model_text, args.model_path, model.model, log,
                                args.log_path, {},
-                               opened.reader->is_binary());
+                               options.format == trace::TraceFormat::kBinary);
     }
   }
 
