@@ -19,7 +19,7 @@ void BM_GenerateRmat(benchmark::State& state) {
                             static_cast<int64_t>(g.edge_count()));
   }
 }
-BENCHMARK(BM_GenerateRmat)->Arg(12)->Arg(14)->Arg(16);
+BENCHMARK(BM_GenerateRmat)->Arg(12)->Arg(14)->Arg(16)->Arg(18);
 
 void BM_GenerateDatagen(benchmark::State& state) {
   DatagenParams params;

@@ -11,6 +11,15 @@
 
 namespace g10 {
 
+namespace detail {
+
+/// Rotate left by k bits, 0 < k < 64.
+constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+  return (x << k) | (x >> (64 - k));
+}
+
+}  // namespace detail
+
 /// SplitMix64 step: turns an arbitrary seed into well-mixed 64-bit values.
 /// Advances the state in place and returns the next output.
 std::uint64_t splitmix64_next(std::uint64_t& state);
@@ -26,7 +35,20 @@ class Rng {
   static constexpr result_type max() { return ~result_type{0}; }
 
   result_type operator()() { return next(); }
-  std::uint64_t next();
+
+  // next() and next_double() sit on the generators' hot loops (R-MAT draws
+  // three doubles per bit per edge), so they are defined inline.
+  std::uint64_t next() {
+    const std::uint64_t result = detail::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = detail::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0. Uses Lemire's
   /// nearly-divisionless method; unbiased.
@@ -35,8 +57,10 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t next_int(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform double in [0, 1).
-  double next_double();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double next_double() {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double next_double(double lo, double hi);

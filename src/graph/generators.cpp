@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "graph/builder.hpp"
 
 namespace g10::graph {
@@ -18,6 +20,8 @@ Graph generate_rmat(const RmatParams& params) {
   const auto n = static_cast<VertexId>(1u << params.scale);
   const auto m = static_cast<EdgeIndex>(
       params.edge_factor * static_cast<double>(n));
+  const double a_frac = params.a / (params.a + params.b);
+  const double c_frac = (params.c + d) > 0 ? params.c / (params.c + d) : 0.0;
   Rng rng(params.seed);
   GraphBuilder builder(n);
   builder.reserve(m);
@@ -29,17 +33,14 @@ Graph generate_rmat(const RmatParams& params) {
       // artifacts (standard "smoothing" used by graph500 generators).
       const double noise = 0.9 + 0.2 * rng.next_double();
       const double ab = (params.a + params.b) * noise;
-      const double a_frac = params.a / (params.a + params.b);
-      const double c_frac =
-          (params.c + d) > 0 ? params.c / (params.c + d) : 0.0;
       const double r1 = rng.next_double();
       const double r2 = rng.next_double();
-      if (r1 < ab) {
-        if (r2 >= a_frac) dst |= (1u << bit);
-      } else {
-        src |= (1u << bit);
-        if (r2 >= c_frac) dst |= (1u << bit);
-      }
+      // Quadrant choice without branches: the lower half (c, d) takes r1 past
+      // a+b, and the right column (b, d) takes r2 past that half's split.
+      const bool lower = r1 >= ab;
+      const bool right = r2 >= (lower ? c_frac : a_frac);
+      src |= static_cast<VertexId>(lower) << bit;
+      dst |= static_cast<VertexId>(right) << bit;
     }
     builder.add_edge(src, dst);
   }
@@ -161,6 +162,43 @@ Graph generate_datagen_like(const DatagenParams& params) {
   options.symmetrize = params.undirected;
   options.name = "datagen-n" + std::to_string(params.vertices);
   return builder.build(options);
+}
+
+DatasetParams parse_dataset_spec(const std::string& spec) {
+  const auto parts = split(spec, ':');
+  const auto value = [&](std::int64_t lo, std::int64_t hi,
+                         const char* what) {
+    const auto parsed = parse_int(parts[1]);
+    if (!parsed || *parsed < lo || *parsed > hi) {
+      throw std::invalid_argument("bad dataset spec '" + spec + "': " +
+                                  what + " must be an integer in " +
+                                  std::to_string(lo) + ".." +
+                                  std::to_string(hi));
+    }
+    return *parsed;
+  };
+  if (parts.size() == 2 && parts[0] == "rmat") {
+    RmatParams params;
+    params.scale = static_cast<int>(value(1, 30, "scale"));
+    return params;
+  }
+  if (parts.size() == 2 && parts[0] == "datagen") {
+    DatagenParams params;
+    params.vertices =
+        static_cast<VertexId>(value(2, 0xFFFFFFFF, "vertex count"));
+    return params;
+  }
+  throw std::invalid_argument("unknown dataset spec '" + spec +
+                              "' (expected rmat:<scale> or "
+                              "datagen:<vertices>)");
+}
+
+Graph make_dataset(const std::string& spec) {
+  const DatasetParams params = parse_dataset_spec(spec);
+  if (const auto* rmat = std::get_if<RmatParams>(&params)) {
+    return generate_rmat(*rmat);
+  }
+  return generate_datagen_like(std::get<DatagenParams>(params));
 }
 
 }  // namespace g10::graph

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <variant>
 
 #include "graph/graph.hpp"
 
@@ -54,5 +56,18 @@ struct DatagenParams {
   std::uint64_t seed = 1;
 };
 Graph generate_datagen_like(const DatagenParams& params);
+
+/// Generator parameters named by a dataset spec, the `--dataset` value of
+/// the CLIs: "rmat:<scale>" (scale 1..30, default R-MAT parameters) or
+/// "datagen:<vertices>" (vertices 2..2^32-1, default datagen parameters).
+using DatasetParams = std::variant<RmatParams, DatagenParams>;
+
+/// Parses a dataset spec. Throws std::invalid_argument with a one-line
+/// message for an unknown kind, a non-numeric value or one out of range.
+DatasetParams parse_dataset_spec(const std::string& spec);
+
+/// Generates the graph a dataset spec names; throws like
+/// parse_dataset_spec.
+Graph make_dataset(const std::string& spec);
 
 }  // namespace g10::graph

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <variant>
+
+#include "common/det_hash.hpp"
 #include "graph/degree_stats.hpp"
 
 namespace g10::graph {
@@ -41,6 +45,43 @@ TEST(RmatTest, HasExpectedScaleAndSkew) {
   // Power-law-ish: heavily skewed out-degree distribution.
   EXPECT_GT(stats.gini, 0.4);
   EXPECT_GT(static_cast<double>(stats.max_out), 8.0 * stats.mean_out);
+}
+
+/// FNV-1a over the CSR arrays: pins a generated graph bit for bit.
+std::uint64_t csr_digest(const Graph& g) {
+  std::uint64_t hash = kFnvOffsetBasis;
+  hash = fnv1a64(hash, g.out_offsets().data(),
+                 g.out_offsets().size() * sizeof(EdgeIndex));
+  hash = fnv1a64(hash, g.out_targets().data(),
+                 g.out_targets().size() * sizeof(VertexId));
+  return hash;
+}
+
+// The digests pin the generator output across refactors of the RNG, the
+// bit loop and the CSR builder; every benchmark trace depends on them.
+TEST(RmatTest, Scale14DigestIsPinned) {
+  RmatParams params;
+  params.scale = 14;
+  const Graph g = generate_rmat(params);
+  EXPECT_EQ(g.edge_count(), 228762u);
+  EXPECT_EQ(csr_digest(g), 0x9a6729352972649aull);
+}
+
+TEST(RmatTest, Scale16DigestIsPinned) {
+  RmatParams params;
+  params.scale = 16;
+  const Graph g = generate_rmat(params);
+  EXPECT_EQ(g.edge_count(), 955326u);
+  EXPECT_EQ(csr_digest(g), 0x18c294e718063078ull);
+}
+
+TEST(RmatTest, UndirectedScale10DigestIsPinned) {
+  RmatParams params;
+  params.scale = 10;
+  params.undirected = true;
+  const Graph g = generate_rmat(params);
+  EXPECT_EQ(g.edge_count(), 21090u);
+  EXPECT_EQ(csr_digest(g), 0xf09e23475229b4daull);
 }
 
 TEST(ErdosRenyiTest, ExactEdgeBudgetBeforeDedup) {
@@ -143,6 +184,39 @@ TEST(RandomWeightsTest, DifferentSeedsDiffer) {
     if (a.edge_weight(e) != b.edge_weight(e)) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
+}
+
+TEST(DatasetSpecTest, ParsesRmatAndDatagen) {
+  const auto rmat = parse_dataset_spec("rmat:12");
+  ASSERT_TRUE(std::holds_alternative<RmatParams>(rmat));
+  EXPECT_EQ(std::get<RmatParams>(rmat).scale, 12);
+  const auto datagen = parse_dataset_spec("datagen:4096");
+  ASSERT_TRUE(std::holds_alternative<DatagenParams>(datagen));
+  EXPECT_EQ(std::get<DatagenParams>(datagen).vertices, 4096u);
+  EXPECT_EQ(std::get<RmatParams>(parse_dataset_spec("rmat:1")).scale, 1);
+  EXPECT_EQ(std::get<RmatParams>(parse_dataset_spec("rmat:30")).scale, 30);
+  EXPECT_EQ(std::get<DatagenParams>(parse_dataset_spec("datagen:2")).vertices,
+            2u);
+  EXPECT_EQ(std::get<DatagenParams>(parse_dataset_spec("datagen:4294967295"))
+                .vertices,
+            0xFFFFFFFFu);
+}
+
+TEST(DatasetSpecTest, RejectsMalformedSpecs) {
+  for (const char* spec :
+       {"", "rmat", "rmat:", "rmat:abc", "rmat:14x", "rmat:0", "rmat:31",
+        "rmat:-1", "rmat:14:1", "datagen:xyz", "datagen:1", "datagen:0",
+        "datagen:4294967296", "mystery:9"}) {
+    EXPECT_THROW(parse_dataset_spec(spec), std::invalid_argument) << spec;
+  }
+}
+
+TEST(DatasetSpecTest, MakeDatasetMatchesTheGenerator) {
+  RmatParams params;
+  params.scale = 8;
+  EXPECT_EQ(csr_digest(make_dataset("rmat:8")),
+            csr_digest(generate_rmat(params)));
+  EXPECT_THROW(make_dataset("rmat:abc"), std::invalid_argument);
 }
 
 class GeneratorScaleTest : public ::testing::TestWithParam<int> {};

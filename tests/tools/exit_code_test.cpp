@@ -82,6 +82,19 @@ TEST(RunExitCodeTest, UnknownDatasetIsParseFailure) {
             kExitParseFailure);
 }
 
+TEST(RunExitCodeTest, MalformedDatasetSpecIsParseFailure) {
+  // Non-numeric values and values outside rmat scale 1..30 / datagen
+  // vertices 2..2^32-1 are rejected before anything is generated.
+  for (const char* spec :
+       {"rmat:abc", "rmat:", "rmat:14x", "rmat:0", "rmat:31", "rmat:-3",
+        "rmat:14:2", "datagen:xyz", "datagen:1", "datagen:4294967296"}) {
+    EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) + " --dataset " + spec +
+                        " --out " + (test_root() / "unused").string()),
+              kExitParseFailure)
+        << spec;
+  }
+}
+
 TEST(RunExitCodeTest, FaultOutsideTheClusterIsFaultAbort) {
   // Parses fine, but worker 7 does not exist in a 2-machine cluster.
   EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) +
@@ -315,6 +328,16 @@ TEST(EnsembleExitCodeTest, UnparseableFaultSpecIsParseFailure) {
   EXPECT_EQ(exit_code(std::string(G10_ENSEMBLE_BIN) + " --out " +
                       (test_root() / "unused").string() + " --faults junk"),
             kExitParseFailure);
+}
+
+TEST(EnsembleExitCodeTest, MalformedDatasetSpecIsParseFailure) {
+  for (const char* spec : {"rmat:abc", "rmat:31", "datagen:1", "mystery:9"}) {
+    EXPECT_EQ(exit_code(std::string(G10_ENSEMBLE_BIN) + " --out " +
+                        (test_root() / "unused").string() + " --dataset " +
+                        spec),
+              kExitParseFailure)
+        << spec;
+  }
 }
 
 TEST(EnsembleExitCodeTest, FreshStartOverAJournalIsRefused) {

@@ -41,7 +41,7 @@
 //
 // Exit codes (src/common/exit_codes.hpp): 0 even for a degraded fleet,
 // 2 for bad arguments, bad --jobs/--isolate combinations, or a fresh start
-// over a non-empty journal, 3 for an unparseable --faults spec,
+// over a non-empty journal, 3 for an unparseable --faults/--dataset spec,
 // 6 when interrupted by SIGTERM/SIGINT, 1 for internal errors.
 #include <signal.h>
 #include <unistd.h>
@@ -51,6 +51,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,7 @@
 #include "ensemble/run_grade10.hpp"
 #include "ensemble/supervisor.hpp"
 #include "ensemble/worker.hpp"
+#include "graph/generators.hpp"
 
 namespace g10 {
 namespace {
@@ -429,6 +431,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--algorithm") {
       args.matrix.algorithm = v;
     } else if (arg == "--dataset") {
+      try {
+        (void)graph::parse_dataset_spec(v);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << '\n';
+        return kExitParseFailure;
+      }
       args.matrix.dataset = v;
     } else if (arg == "--workers") {
       args.matrix.workers = static_cast<int>(parse_int(v).value_or(0));

@@ -58,6 +58,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "algorithms/programs.hpp"
@@ -251,22 +252,6 @@ void apply_fault_knobs(const Args& args, Config& cfg) {
   cfg.crash_log = args.crash_log;
 }
 
-graph::Graph make_dataset(const std::string& spec) {
-  const auto parts = split(spec, ':');
-  if (parts.size() == 2 && parts[0] == "rmat") {
-    graph::RmatParams params;
-    params.scale = static_cast<int>(parse_int(parts[1]).value_or(14));
-    return generate_rmat(params);
-  }
-  if (parts.size() == 2 && parts[0] == "datagen") {
-    graph::DatagenParams params;
-    params.vertices = static_cast<graph::VertexId>(
-        parse_int(parts[1]).value_or(16384));
-    return generate_datagen_like(params);
-  }
-  throw std::runtime_error("unknown dataset spec: " + spec);
-}
-
 /// One engine execution's outputs, shared by the normal dump path and the
 /// --det-check repetition loop.
 struct EngineRun {
@@ -450,8 +435,8 @@ int run(const Args& args) {
 
   graph::Graph graph;
   try {
-    graph = make_dataset(args.dataset);
-  } catch (const std::exception& e) {
+    graph = graph::make_dataset(args.dataset);
+  } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << '\n';
     return kExitParseFailure;
   }
@@ -471,7 +456,7 @@ int run(const Args& args) {
   trace::RunArtifacts& artifacts = engine_run.artifacts;
   const core::FrameworkModel& framework = engine_run.framework;
 
-  const auto samples =
+  auto samples =
       derive_samples(args, fault_spec, engine_run, /*verbose=*/true);
 
   std::filesystem::create_directories(args.out);
@@ -492,12 +477,16 @@ int run(const Args& args) {
     trace::write_log(log, artifacts.phase_events, artifacts.blocking_events,
                      samples, meta);
   }
+  // Counted before the binary dump below moves the records out.
+  const std::size_t phase_event_count = artifacts.phase_events.size();
+  const std::size_t blocking_event_count = artifacts.blocking_events.size();
+  const std::size_t sample_count = samples.size();
   if (want_binary) {
     trace::ParsedLog log;
     log.meta = meta;
-    log.phase_events = artifacts.phase_events;
-    log.blocking_events = artifacts.blocking_events;
-    log.samples = samples;
+    log.phase_events = std::move(artifacts.phase_events);
+    log.blocking_events = std::move(artifacts.blocking_events);
+    log.samples = std::move(samples);
     std::string error;
     if (!trace::write_g10t_file(args.out + "/run.g10t", log, {}, &error)) {
       std::cerr << error << '\n';
@@ -518,9 +507,9 @@ int run(const Args& args) {
       want_text ? "/run.log" : "/run.g10t";
   std::cout << "wrote " << args.out << trace_name
             << (want_text && want_binary ? " + /run.g10t (" : " (")
-            << artifacts.phase_events.size() << " phase events, "
-            << artifacts.blocking_events.size() << " blocking events, "
-            << samples.size() << " samples) and " << args.out
+            << phase_event_count << " phase events, "
+            << blocking_event_count << " blocking events, "
+            << sample_count << " samples) and " << args.out
             << "/model.g10\n";
   std::cout << "analyze with: g10_analyze --model " << args.out
             << "/model.g10 --log " << args.out << trace_name;
