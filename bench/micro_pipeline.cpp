@@ -1,9 +1,6 @@
-// Thread-scaling micro-benchmarks of the two parallelized paths: the full
-// characterization pipeline (demand -> attribution -> bottlenecks -> issues)
-// and chunked log ingestion. Each benchmark runs at 1/2/4/8 threads via the
-// config/ParseOptions knob, so the speedup curve — and the serial baseline —
-// is read off one report. Results are bit-identical across the thread axis
-// (enforced by pipeline_determinism_test); only the time should move.
+// Micro-benchmarks of the serial analysis path: the full characterization
+// pipeline (demand -> attribution -> bottlenecks -> issues), text log
+// ingestion, and the log writer whose output the ingestion benchmark reads.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -72,7 +69,6 @@ void BM_Characterize(benchmark::State& state) {
   input.samples = w.samples;
   input.config.timeslice = 10 * kMillisecond;
   input.config.min_issue_impact = 0.0;
-  input.config.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto result = characterize(input);
     benchmark::DoNotOptimize(result);
@@ -81,15 +77,12 @@ void BM_Characterize(benchmark::State& state) {
       state.iterations() *
       static_cast<int64_t>(w.artifacts.phase_events.size()));
 }
-BENCHMARK(BM_Characterize)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Characterize)->Unit(benchmark::kMillisecond);
 
 void BM_ParseLog(benchmark::State& state) {
   const Workload& w = workload();
   trace::ParseOptions options;
   options.recover = true;
-  options.threads = static_cast<int>(state.range(0));
-  options.min_chunk_bytes = 1 << 16;  // the bench log is a few MB
   for (auto _ : state) {
     auto result = trace::parse_log_text(w.log_text, options);
     benchmark::DoNotOptimize(result);
@@ -97,8 +90,7 @@ void BM_ParseLog(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(w.log_text.size()));
 }
-BENCHMARK(BM_ParseLog)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParseLog)->Unit(benchmark::kMillisecond);
 
 void BM_WriteLog(benchmark::State& state) {
   // The serial writer, exercised because ingestion benchmarks depend on its

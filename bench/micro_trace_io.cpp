@@ -86,10 +86,8 @@ void set_throughput(benchmark::State& state) {
 /// the binary format existed.
 void BM_TextParse(benchmark::State& state) {
   const Workload& w = workload();
-  TraceReadOptions options;
-  options.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    ParseResult result = read_trace_file(w.text_path, options);
+    ParseResult result = read_trace_file(w.text_path);
     benchmark::DoNotOptimize(result);
   }
   set_throughput(state);
@@ -99,10 +97,8 @@ void BM_TextParse(benchmark::State& state) {
 /// convert-then-analyze-once cost).
 void BM_BinaryColdIngest(benchmark::State& state) {
   const Workload& w = workload();
-  TraceReadOptions options;
-  options.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    ParseResult result = read_trace_file(w.binary_path, options);
+    ParseResult result = read_trace_file(w.binary_path);
     benchmark::DoNotOptimize(result);
   }
   set_throughput(state);
@@ -134,8 +130,8 @@ void BM_TextFilteredScan(benchmark::State& state) {
   }
 }
 
-BENCHMARK(BM_TextParse)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BinaryColdIngest)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TextParse)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BinaryColdIngest)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BinaryFilteredSeek)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TextFilteredScan)->Unit(benchmark::kMillisecond);
 

@@ -3,7 +3,7 @@
 // A DetHasher folds per-phase event/state streams into incremental FNV-1a
 // hashes, one running hash per phase path plus one overall hash that also
 // covers stream order. Two executions of the same workload — repeated runs
-// of an engine, or the analysis pipeline at different thread counts — must
+// of an engine, or repeated characterizations of one trace — must
 // produce byte-identical streams, so their summaries must match hash for
 // hash. When they do not, first_divergence() names the *first* phase path
 // (in stream order) whose hash differs, turning "the logs differ somewhere"

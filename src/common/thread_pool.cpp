@@ -227,13 +227,4 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
   if (state->error) std::rethrow_exception(state->error);
 }
 
-void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t)>& body) {
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  pool->parallel_for(n, grain, body);
-}
-
 }  // namespace g10

@@ -1,10 +1,10 @@
-// Work-stealing thread-pool executor shared by the analysis pipeline, the
-// log parser, and (later) the simulated engines.
+// Work-stealing thread-pool executor behind the in-process ensemble driver
+// (ensemble/driver), which runs one scenario per parallel_for iteration.
+// The single-trace analysis itself is serial.
 //
 // Design goals, in priority order:
-//  1. Determinism: parallel_for / parallel_map place every result by its
-//     input index, so the output of a parallel stage is bit-identical to
-//     the serial stage regardless of thread count or scheduling.
+//  1. Determinism: callers place every result by its iteration index, so
+//     the output does not depend on thread count or scheduling.
 //  2. No regression at one thread: a pool with thread_count() == 1 spawns
 //     no workers and runs everything inline on the caller — the serial hot
 //     path pays no synchronization.
@@ -34,7 +34,6 @@
 #include <functional>
 #include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -117,22 +116,5 @@ class ThreadPool {
   std::size_t next_worker_ G10_GUARDED_BY(state_mutex_) = 0;
   bool stop_ G10_GUARDED_BY(state_mutex_) = false;
 };
-
-/// parallel_for through an optional pool: nullptr or a single-thread pool
-/// runs serially inline.
-void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t)>& body);
-
-/// Maps f over items with results placed by index — output order (and, for
-/// floating-point work, every bit of it) is independent of thread count.
-/// The result type must be default-constructible and movable.
-template <typename T, typename F>
-auto parallel_map(ThreadPool* pool, const std::vector<T>& items, F&& f)
-    -> std::vector<std::decay_t<decltype(f(items[0]))>> {
-  std::vector<std::decay_t<decltype(f(items[0]))>> out(items.size());
-  parallel_for(pool, items.size(), 1,
-               [&](std::size_t i) { out[i] = f(items[i]); });
-  return out;
-}
 
 }  // namespace g10

@@ -64,7 +64,7 @@ EnsembleOutcome run_ensemble(const ScenarioMatrix& matrix, const RunFn& fn,
     std::atomic<std::size_t> cancelled{0};
     // Grain 1: scenarios vary wildly in cost (fault recovery can multiply a
     // run's length), so work stealing needs single-run granularity.
-    parallel_for(&pool, pending.size(), 1, [&](std::size_t i) {
+    pool.parallel_for(pending.size(), 1, [&](std::size_t i) {
       const Scenario& scenario = *pending[i];
       const bool stopping_before =
           options.stop != nullptr &&

@@ -146,9 +146,6 @@ RunAttempt run_scenario(const Scenario& scenario, const CancelToken& token,
   input.samples = samples;
   input.config.timeslice = options.timeslice;
   input.config.min_issue_impact = options.min_issue_impact;
-  // Serial analysis: the ensemble's parallelism is across scenarios, and
-  // nested pools would oversubscribe the machine.
-  input.config.threads = 1;
   const core::CheckedCharacterization checked =
       core::characterize_checked(input);
   if (token.cancelled()) return cancelled_attempt();

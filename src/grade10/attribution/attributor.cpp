@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 
 namespace g10::core {
 
@@ -112,26 +111,15 @@ const AttributedResource* AttributedUsage::find(
 AttributedUsage attribute_usage(const std::vector<DemandMatrix>& demand,
                                 const ResourceTrace& monitored,
                                 const TimesliceGrid& grid,
-                                bool constant_strawman, ThreadPool* pool) {
-  // Matrices without monitoring data are skipped; resolve the series up
-  // front so the parallel slots line up with the demand order.
-  std::vector<const ResourceSeries*> series(demand.size(), nullptr);
-  for (std::size_t m = 0; m < demand.size(); ++m) {
-    series[m] = monitored.find(demand[m].resource, demand[m].machine);
-  }
-
-  // Each matrix upsamples and attributes independently; results land in
-  // per-index slots, so collection order matches the serial loop exactly.
-  std::vector<AttributedResource> slots(demand.size());
-  parallel_for(pool, demand.size(), 1, [&](std::size_t m) {
-    if (series[m] == nullptr) return;
-    slots[m] = attribute_one(demand[m], *series[m], grid, constant_strawman);
-  });
-
+                                bool constant_strawman) {
+  // Matrices without monitoring data are skipped.
   AttributedUsage result;
-  for (std::size_t m = 0; m < demand.size(); ++m) {
-    if (series[m] == nullptr) continue;
-    result.resources.push_back(std::move(slots[m]));
+  for (const DemandMatrix& matrix : demand) {
+    const ResourceSeries* series =
+        monitored.find(matrix.resource, matrix.machine);
+    if (series == nullptr) continue;
+    result.resources.push_back(
+        attribute_one(matrix, *series, grid, constant_strawman));
   }
   return result;
 }

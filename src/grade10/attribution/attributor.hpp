@@ -58,13 +58,11 @@ struct AttributedUsage {
 /// Runs upsampling + per-slice attribution for every demand matrix with a
 /// matching monitored series. Matrices without monitoring data are skipped.
 /// `constant_strawman` replaces Grade10's upsampler with the constant-rate
-/// baseline (Table II). With a pool, matrices are processed in parallel
-/// (bit-identical to the serial path).
+/// baseline (Table II).
 AttributedUsage attribute_usage(const std::vector<DemandMatrix>& demand,
                                 const ResourceTrace& monitored,
                                 const TimesliceGrid& grid,
-                                bool constant_strawman = false,
-                                ThreadPool* pool = nullptr);
+                                bool constant_strawman = false);
 
 /// Total usage (unit·seconds) attributed to the subtree rooted at
 /// `subtree_root`, for one attributed resource.

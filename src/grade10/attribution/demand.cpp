@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 
 namespace g10::core {
 
@@ -88,8 +87,7 @@ void fill_matrix(DemandMatrix& matrix, const ResourceModel& resources,
 std::vector<DemandMatrix> estimate_demand(const ResourceModel& resources,
                                           const AttributionRuleSet& rules,
                                           const ExecutionTrace& trace,
-                                          const TimesliceGrid& grid,
-                                          ThreadPool* pool) {
+                                          const TimesliceGrid& grid) {
   const TimesliceIndex slice_count =
       trace.end_time() > 0 ? grid.slice_count(trace.end_time()) : 0;
 
@@ -115,12 +113,9 @@ std::vector<DemandMatrix> estimate_demand(const ResourceModel& resources,
     }
   }
 
-  // Each (resource, machine) matrix is independent; fan out one per task.
-  // Every matrix is filled by exactly one thread, so the result is
-  // bit-identical to the serial loop.
-  parallel_for(pool, matrices.size(), 1, [&](std::size_t m) {
-    fill_matrix(matrices[m], resources, rules, trace, grid, slice_count);
-  });
+  for (DemandMatrix& matrix : matrices) {
+    fill_matrix(matrix, resources, rules, trace, grid, slice_count);
+  }
   return matrices;
 }
 

@@ -14,10 +14,6 @@
 #include "grade10/model/attribution_rules.hpp"
 #include "grade10/trace/execution_trace.hpp"
 
-namespace g10 {
-class ThreadPool;
-}
-
 namespace g10::core {
 
 /// One leaf phase's contribution to a demand matrix.
@@ -51,12 +47,10 @@ struct DemandMatrix {
 
 /// Builds one matrix per (consumable resource, machine) pair — or one
 /// global matrix for globally-scoped resources. `slice_count` slices cover
-/// the whole trace. With a pool, matrices are filled in parallel (one task
-/// per matrix); the result is bit-identical to the serial path.
+/// the whole trace.
 std::vector<DemandMatrix> estimate_demand(const ResourceModel& resources,
                                           const AttributionRuleSet& rules,
                                           const ExecutionTrace& trace,
-                                          const TimesliceGrid& grid,
-                                          ThreadPool* pool = nullptr);
+                                          const TimesliceGrid& grid);
 
 }  // namespace g10::core

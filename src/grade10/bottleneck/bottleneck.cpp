@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 
 namespace g10::core {
 
@@ -41,21 +40,14 @@ std::map<ResourceId, DurationNs> BottleneckReport::totals_by_resource(
 
 namespace {
 
-/// Bottleneck classification of a single attributed resource instance.
-struct ResourceBottlenecks {
-  ResourceSaturation sat;
-  std::map<std::pair<InstanceId, ResourceId>, DurationNs> saturated;
-  std::map<std::pair<InstanceId, ResourceId>, DurationNs> self_limited;
-};
-
-ResourceBottlenecks detect_one(const AttributedResource& res,
-                               const TimesliceGrid& grid,
-                               const AnalysisConfig& config) {
-  ResourceBottlenecks out;
+/// Classifies a single attributed resource instance into `report`: appends
+/// its saturation timeline and adds its consumable bottlenecks.
+void detect_one(const AttributedResource& res, const TimesliceGrid& grid,
+                const AnalysisConfig& config, BottleneckReport& report) {
   const DurationNs slice = grid.slice_duration();
 
   // Saturation timeline with run-length filtering.
-  ResourceSaturation& sat = out.sat;
+  ResourceSaturation& sat = report.saturation.emplace_back();
   sat.resource = res.resource;
   sat.machine = res.machine;
   const auto slices = static_cast<std::size_t>(res.slice_count());
@@ -96,14 +88,13 @@ ResourceBottlenecks detect_one(const AttributedResource& res,
       const auto affected = static_cast<DurationNs>(
           entry.fraction * static_cast<double>(slice));
       if (sat.saturated[s]) {
-        out.saturated[{entry.instance, res.resource}] += affected;
+        report.saturated[{entry.instance, res.resource}] += affected;
       } else if (entry.exact &&
                  entry.usage >= config.exact_cap_threshold * entry.demand) {
-        out.self_limited[{entry.instance, res.resource}] += affected;
+        report.self_limited[{entry.instance, res.resource}] += affected;
       }
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -111,8 +102,7 @@ ResourceBottlenecks detect_one(const AttributedResource& res,
 BottleneckReport detect_bottlenecks(const AttributedUsage& usage,
                                     const ExecutionTrace& trace,
                                     const TimesliceGrid& grid,
-                                    const AnalysisConfig& config,
-                                    ThreadPool* pool) {
+                                    const AnalysisConfig& config) {
   BottleneckReport report;
 
   // Blocking bottlenecks: straight from the blocking events.
@@ -120,19 +110,10 @@ BottleneckReport detect_bottlenecks(const AttributedUsage& usage,
     report.blocked[{span.instance, span.resource}] += span.interval.length();
   }
 
-  // Each resource instance classifies independently; partial results are
-  // merged in resource order. The per-(instance, resource) durations are
-  // integers, so merged sums are exact regardless of grouping.
-  std::vector<ResourceBottlenecks> partial(usage.resources.size());
-  parallel_for(pool, usage.resources.size(), 1, [&](std::size_t r) {
-    partial[r] = detect_one(usage.resources[r], grid, config);
-  });
-  for (ResourceBottlenecks& p : partial) {
-    for (const auto& [key, value] : p.saturated) report.saturated[key] += value;
-    for (const auto& [key, value] : p.self_limited) {
-      report.self_limited[key] += value;
-    }
-    report.saturation.push_back(std::move(p.sat));
+  // Consumable bottlenecks, one resource instance at a time in resource
+  // order.
+  for (const AttributedResource& res : usage.resources) {
+    detect_one(res, grid, config, report);
   }
   return report;
 }

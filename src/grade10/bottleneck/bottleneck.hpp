@@ -51,12 +51,11 @@ struct BottleneckReport {
       const std::map<std::pair<InstanceId, ResourceId>, DurationNs>& m);
 };
 
-/// With a pool, resource instances are classified in parallel and merged
-/// in resource order (bit-identical to the serial path).
+/// Classifies blocking, saturation and self-limit bottlenecks; the
+/// saturation timelines follow the order of `usage.resources`.
 BottleneckReport detect_bottlenecks(const AttributedUsage& usage,
                                     const ExecutionTrace& trace,
                                     const TimesliceGrid& grid,
-                                    const AnalysisConfig& config,
-                                    ThreadPool* pool = nullptr);
+                                    const AnalysisConfig& config);
 
 }  // namespace g10::core

@@ -12,13 +12,6 @@ struct AnalysisConfig {
   /// Timeslice duration (paper §III-C; tens of milliseconds in practice).
   DurationNs timeslice = 10 * kMillisecond;
 
-  /// Total analysis concurrency (workers + the calling thread) for the
-  /// pipeline stages that fan out per (resource, machine) / per candidate
-  /// issue. 0 = auto: the G10_THREADS environment variable if set, else
-  /// the hardware thread count. 1 = fully serial (no pool threads).
-  /// Results are bit-identical at every setting.
-  int threads = 0;
-
   /// A consumable resource counts as saturated in a slice when its
   /// upsampled utilization reaches this fraction of capacity...
   double saturation_threshold = 0.97;

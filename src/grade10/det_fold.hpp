@@ -2,10 +2,10 @@
 //
 // Every analysis product that reaches a report — the instance tree,
 // attributed usage, bottleneck classifications, detected issues — is hashed
-// under the phase path (or resource stream) it belongs to. The pipeline is
-// bit-identical across thread counts by construction; `g10_analyze
-// --det-check N` re-runs it at 1, 2 and N threads, compares the summaries,
-// and names the first divergent phase path when that invariant breaks.
+// under the phase path (or resource stream) it belongs to. `g10_analyze
+// --det-check N` reads and characterizes the same input N times, compares
+// the summaries, and names the first divergent phase path when two
+// executions disagree.
 #pragma once
 
 #include "common/det_hash.hpp"

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 
 namespace g10::core {
 
@@ -236,16 +235,11 @@ PerformanceIssue IssueDetector::fault_recovery_issue() const {
 }
 
 std::vector<PerformanceIssue> IssueDetector::detect(
-    const AttributedUsage& usage, const BottleneckReport& bottlenecks,
-    ThreadPool* pool) {
-  // Candidate enumeration is cheap and stays serial; evaluating a candidate
-  // replays the whole trace, so that fans out — one task per candidate.
-  struct Candidate {
-    bool is_imbalance = false;
-    ResourceId resource = kNoResource;
-    PhaseTypeId type = kNoPhaseType;
-  };
-  std::vector<Candidate> candidates;
+    const AttributedUsage& usage, const BottleneckReport& bottlenecks) {
+  // Issues are collected in a fixed order (bottlenecks, fault recovery,
+  // imbalances), so the impact sort below sees the same input sequence on
+  // every run and ties break identically.
+  std::vector<PerformanceIssue> issues;
   for (ResourceId r = 0;
        r < static_cast<ResourceId>(resources_.resource_count()); ++r) {
     // Fault-class resources are covered by the dedicated fault-recovery
@@ -256,9 +250,14 @@ std::vector<PerformanceIssue> IssueDetector::detect(
                   name) != config_.fault_resources.end()) {
       continue;
     }
-    candidates.push_back({false, r, kNoPhaseType});
+    issues.push_back(bottleneck_issue(r, usage, bottlenecks));
   }
-  const std::size_t bottleneck_count = candidates.size();
+  {
+    PerformanceIssue fault = fault_recovery_issue();
+    if (fault.optimistic_makespan < fault.baseline_makespan) {
+      issues.push_back(std::move(fault));
+    }
+  }
   for (PhaseTypeId t = 0; t < static_cast<PhaseTypeId>(model_.type_count());
        ++t) {
     if (t == model_.root() || model_.type(t).wait) continue;
@@ -272,29 +271,8 @@ std::vector<PerformanceIssue> IssueDetector::detect(
         break;
       }
     }
-    if (has_group) candidates.push_back({true, kNoResource, t});
+    if (has_group) issues.push_back(imbalance_issue(t));
   }
-
-  const std::vector<PerformanceIssue> evaluated =
-      parallel_map(pool, candidates, [&](const Candidate& c) {
-        return c.is_imbalance ? imbalance_issue(c.type)
-                              : bottleneck_issue(c.resource, usage,
-                                                 bottlenecks);
-      });
-
-  // Reassemble in the serial order (bottlenecks, fault recovery,
-  // imbalances) so the impact sort below sees the same input sequence at
-  // every thread count — ties then break identically.
-  const auto fault_pos =
-      evaluated.begin() + static_cast<std::ptrdiff_t>(bottleneck_count);
-  std::vector<PerformanceIssue> issues(evaluated.begin(), fault_pos);
-  {
-    PerformanceIssue fault = fault_recovery_issue();
-    if (fault.optimistic_makespan < fault.baseline_makespan) {
-      issues.push_back(std::move(fault));
-    }
-  }
-  issues.insert(issues.end(), fault_pos, evaluated.end());
   std::erase_if(issues, [this](const PerformanceIssue& issue) {
     return issue.impact < config_.min_issue_impact;
   });

@@ -53,17 +53,15 @@ class IssueDetector {
                 const AnalysisConfig& config);
 
   /// All issues whose impact clears config.min_issue_impact, sorted by
-  /// descending impact. With a pool, candidate issues are evaluated in
-  /// parallel (one replay each) and reassembled in the serial order.
+  /// descending impact.
   std::vector<PerformanceIssue> detect(const AttributedUsage& usage,
-                                       const BottleneckReport& bottlenecks,
-                                       ThreadPool* pool = nullptr);
+                                       const BottleneckReport& bottlenecks);
 
   /// The imbalance issue for one phase type (used by the Fig. 5/6 benches
-  /// regardless of the reporting threshold). Thread-safe.
+  /// regardless of the reporting threshold).
   PerformanceIssue imbalance_issue(PhaseTypeId type) const;
 
-  /// The bottleneck-removal issue for one resource. Thread-safe.
+  /// The bottleneck-removal issue for one resource.
   PerformanceIssue bottleneck_issue(ResourceId resource,
                                     const AttributedUsage& usage,
                                     const BottleneckReport& bottlenecks) const;

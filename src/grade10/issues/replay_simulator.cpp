@@ -1,6 +1,8 @@
 #include "grade10/issues/replay_simulator.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 
 #include "common/check.hpp"
@@ -12,7 +14,7 @@ ReplaySimulator::ReplaySimulator(const ExecutionModel& model,
     : model_(model), trace_(trace) {
   model_.validate();
   // Topological order of child types per parent (Kahn per sibling group).
-  child_type_order_.resize(model_.type_count());
+  std::vector<std::vector<PhaseTypeId>> child_type_order(model_.type_count());
   for (std::size_t p = 0; p < model_.type_count(); ++p) {
     const auto& group = model_.type(static_cast<PhaseTypeId>(p)).children;
     std::map<PhaseTypeId, int> indegree;
@@ -24,7 +26,7 @@ ReplaySimulator::ReplaySimulator(const ExecutionModel& model,
     for (PhaseTypeId t : group) {
       if (indegree[t] == 0) ready.push_back(t);
     }
-    auto& order = child_type_order_[p];
+    auto& order = child_type_order[p];
     while (!ready.empty()) {
       // Deterministic: take the smallest id first.
       std::sort(ready.begin(), ready.end(), std::greater<>());
@@ -37,6 +39,39 @@ ReplaySimulator::ReplaySimulator(const ExecutionModel& model,
     }
     G10_CHECK(order.size() == group.size());
   }
+
+  const std::vector<PhaseInstance>& instances = trace_.instances();
+  group_begin_.reserve(instances.size() + 1);
+  tail_.assign(instances.size(), 0);
+  children_.reserve(instances.size());
+  for (std::size_t id = 0; id < instances.size(); ++id) {
+    group_begin_.push_back(groups_.size());
+    const PhaseInstance& instance = instances[id];
+    if (instance.is_leaf()) continue;
+    // Group children by type; sort each type's instances by index.
+    std::map<PhaseTypeId, std::vector<InstanceId>> by_type;
+    TimeNs latest_recorded_child_end = instance.begin;
+    for (const InstanceId child : instance.children) {
+      by_type[trace_.instance(child).type].push_back(child);
+      latest_recorded_child_end =
+          std::max(latest_recorded_child_end, trace_.instance(child).end);
+    }
+    tail_[id] =
+        std::max<DurationNs>(0, instance.end - latest_recorded_child_end);
+    for (const PhaseTypeId type :
+         child_type_order[static_cast<std::size_t>(instance.type)]) {
+      const auto it = by_type.find(type);
+      if (it == by_type.end()) continue;
+      std::vector<InstanceId>& list = it->second;
+      std::sort(list.begin(), list.end(), [this](InstanceId a, InstanceId b) {
+        return trace_.instance(a).index < trace_.instance(b).index;
+      });
+      const std::size_t begin = children_.size();
+      children_.insert(children_.end(), list.begin(), list.end());
+      groups_.push_back({type, begin, children_.size()});
+    }
+  }
+  group_begin_.push_back(groups_.size());
 }
 
 std::vector<DurationNs> ReplaySimulator::recorded_durations() const {
@@ -64,37 +99,14 @@ TimeNs ReplaySimulator::schedule_instance(
     return end;
   }
 
-  // Group children by type; remember each type's instances sorted by index.
-  std::map<PhaseTypeId, std::vector<InstanceId>> by_type;
-  TimeNs latest_recorded_child_end = instance.begin;
-  for (const InstanceId child : instance.children) {
-    by_type[trace_.instance(child).type].push_back(child);
-    latest_recorded_child_end =
-        std::max(latest_recorded_child_end, trace_.instance(child).end);
-  }
-  for (auto& [type, list] : by_type) {
-    std::sort(list.begin(), list.end(), [this](InstanceId a, InstanceId b) {
-      return trace_.instance(a).index < trace_.instance(b).index;
-    });
-  }
-  // The parent's own work after its last child (e.g. barrier sync cost).
-  const DurationNs tail =
-      std::max<DurationNs>(0, instance.end - latest_recorded_child_end);
-
-  // End (and id) of already-scheduled children of a given type, by index.
-  struct ChildEnd {
-    TimeNs end = 0;
-    InstanceId id = kNoInstance;
-  };
-  std::map<PhaseTypeId, std::map<std::int64_t, ChildEnd>> ends_by_type;
   TimeNs latest_child_end = start;
   InstanceId latest_child = kNoInstance;
-
-  for (const PhaseTypeId type :
-       child_type_order_[static_cast<std::size_t>(instance.type)]) {
-    const auto it = by_type.find(type);
-    if (it == by_type.end()) continue;
-    const PhaseType& type_info = model_.type(type);
+  const std::size_t first_group = group_begin_[static_cast<std::size_t>(id)];
+  const std::size_t end_group =
+      group_begin_[static_cast<std::size_t>(id) + 1];
+  for (std::size_t g = first_group; g < end_group; ++g) {
+    const SiblingGroup& group = groups_[g];
+    const PhaseType& type_info = model_.type(group.type);
 
     // Concurrency slots (0 limit = unbounded).
     std::vector<TimeNs> slots;
@@ -105,39 +117,55 @@ TimeNs ReplaySimulator::schedule_instance(
       slot_owner.assign(slots.size(), kNoInstance);
     }
 
-    TimeNs previous_end = start;  // for repeated types
-    InstanceId previous_id = kNoInstance;
-    for (const InstanceId child : it->second) {
+    InstanceId previous_id = kNoInstance;  // for repeated types
+    for (std::size_t c = group.begin; c < group.end; ++c) {
+      const InstanceId child = children_[c];
       const PhaseInstance& child_instance = trace_.instance(child);
       TimeNs ready = start;
       InstanceId binding = kNoInstance;
-      const auto raise = [&](TimeNs candidate, InstanceId source) {
+      const auto raise = [&](InstanceId source) {
+        const TimeNs candidate = out.end[static_cast<std::size_t>(source)];
         if (candidate > ready) {
           ready = candidate;
           binding = source;
         }
       };
-      // Precedence from model edges, matched by instance index.
+      // Precedence from model edges, matched by instance index against the
+      // sibling groups already scheduled (indices are unique within a
+      // group: a path is its parent's path plus type and index).
       for (const PhaseTypeId pred : type_info.predecessors) {
-        const auto pit = ends_by_type.find(pred);
-        if (pit == ends_by_type.end()) continue;
-        const auto& pred_ends = pit->second;
-        const auto exact = pred_ends.find(child_instance.index);
-        if (exact != pred_ends.end()) {
-          raise(exact->second.end, exact->second.id);
+        const SiblingGroup* pred_group = nullptr;
+        for (std::size_t h = first_group; h < g; ++h) {
+          if (groups_[h].type == pred) pred_group = &groups_[h];
+        }
+        if (pred_group == nullptr) continue;
+        const auto first = children_.begin() +
+                           static_cast<std::ptrdiff_t>(pred_group->begin);
+        const auto last = children_.begin() +
+                          static_cast<std::ptrdiff_t>(pred_group->end);
+        const auto exact = std::lower_bound(
+            first, last, child_instance.index,
+            [this](InstanceId other, std::int64_t index) {
+              return trace_.instance(other).index < index;
+            });
+        if (exact != last &&
+            trace_.instance(*exact).index == child_instance.index) {
+          raise(*exact);
         } else {
-          for (const auto& [index, pred_end] : pred_ends) {
-            raise(pred_end.end, pred_end.id);
-          }
+          for (auto it = first; it != last; ++it) raise(*it);
         }
       }
-      if (type_info.repeated) raise(previous_end, previous_id);
+      if (type_info.repeated && previous_id != kNoInstance) {
+        raise(previous_id);
+      }
       auto slot = slots.end();
       if (!slots.empty()) {
         // List scheduling: earliest-free slot.
         slot = std::min_element(slots.begin(), slots.end());
-        raise(*slot,
-              slot_owner[static_cast<std::size_t>(slot - slots.begin())]);
+        if (*slot > ready) {
+          ready = *slot;
+          binding = slot_owner[static_cast<std::size_t>(slot - slots.begin())];
+        }
       }
       out.binding_pred[static_cast<std::size_t>(child)] = binding;
       const TimeNs end = schedule_instance(child, ready, durations, out);
@@ -145,8 +173,6 @@ TimeNs ReplaySimulator::schedule_instance(
         *slot = end;
         slot_owner[static_cast<std::size_t>(slot - slots.begin())] = child;
       }
-      ends_by_type[type][child_instance.index] = ChildEnd{end, child};
-      previous_end = end;
       previous_id = child;
       if (end > latest_child_end) {
         latest_child_end = end;
@@ -156,7 +182,7 @@ TimeNs ReplaySimulator::schedule_instance(
   }
 
   out.binding_child[static_cast<std::size_t>(id)] = latest_child;
-  const TimeNs end = latest_child_end + tail;
+  const TimeNs end = latest_child_end + tail_[static_cast<std::size_t>(id)];
   out.end[static_cast<std::size_t>(id)] = end;
   return end;
 }

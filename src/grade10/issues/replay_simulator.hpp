@@ -14,6 +14,7 @@
 // fixed?").
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/time.hpp"
@@ -56,9 +57,12 @@ class ReplaySimulator {
   std::vector<InstanceId> critical_leaves(const ReplaySchedule& schedule) const;
 
  private:
+  /// The children of one type under one parent, in children_[begin, end)
+  /// sorted by instance index.
   struct SiblingGroup {
     PhaseTypeId type = kNoPhaseType;
-    std::vector<InstanceId> instances;  ///< sorted by index
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
 
   TimeNs schedule_instance(InstanceId id, TimeNs start,
@@ -67,8 +71,17 @@ class ReplaySimulator {
 
   const ExecutionModel& model_;
   const ExecutionTrace& trace_;
-  /// Topological order of child types per parent type.
-  std::vector<std::vector<PhaseTypeId>> child_type_order_;
+  /// The replay's inputs that do not depend on the leaf durations, built
+  /// once so each simulate() only walks them. Instance `id`'s sibling
+  /// groups are groups_[group_begin_[id], group_begin_[id + 1]), in the
+  /// topological order of their types; children of a type outside that
+  /// order are not replayed.
+  std::vector<SiblingGroup> groups_;
+  std::vector<std::size_t> group_begin_;
+  std::vector<InstanceId> children_;
+  /// Per instance: the parent's own work after its last recorded child
+  /// (e.g. barrier sync cost).
+  std::vector<DurationNs> tail_;
 };
 
 }  // namespace g10::core

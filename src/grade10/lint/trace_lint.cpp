@@ -200,13 +200,12 @@ class TraceLinter {
     }
   }
 
-  void check_machine(MachineId machine, const std::string& context) {
+  void check_machine(MachineId machine, std::string_view context) {
     if (machine == kGlobalMachine || machines_.count(machine) > 0) return;
     add_once("trace-orphan-machine", Severity::kWarning,
              "machine " + std::to_string(machine),
-             "machine " + std::to_string(machine) +
-                 " appears in " + context +
-                 " but in no phase event");
+             "machine " + std::to_string(machine) + " appears in " +
+                 std::string(context) + " but in no phase event");
   }
 
   void check_blocking_events() {
@@ -269,8 +268,10 @@ class TraceLinter {
              std::vector<const trace::MonitoringSampleRecord*>>
         series;
     for (const trace::MonitoringSampleRecord& sample : log_.samples) {
-      const std::string context =
-          sample.resource + "@" + std::to_string(sample.machine);
+      // Built only for a finding: this loop runs once per sample.
+      const auto context = [&sample] {
+        return sample.resource + "@" + std::to_string(sample.machine);
+      };
       const core::ResourceId resource = model_.resources.find(sample.resource);
       if (resource == core::kNoResource) {
         add_once("trace-sample-unknown-resource", Severity::kError,
@@ -286,14 +287,14 @@ class TraceLinter {
       } else {
         const double capacity = model_.resources.resource(resource).capacity;
         if (sample.value > capacity * options_.capacity_slack) {
-          add_once("trace-sample-over-capacity", Severity::kWarning, context,
+          add_once("trace-sample-over-capacity", Severity::kWarning, context(),
                    "sample value " + format_fixed(sample.value, 3) +
                        " exceeds the capacity " + format_fixed(capacity, 3) +
                        " of '" + sample.resource + "' (unit mismatch?)");
         }
       }
       if (sample.value < 0.0) {
-        add_once("trace-sample-negative", Severity::kError, context,
+        add_once("trace-sample-negative", Severity::kError, context(),
                  "sample reports a negative rate " +
                      format_fixed(sample.value, 3));
       }

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 
 namespace g10::core {
 
@@ -30,29 +29,19 @@ CheckedCharacterization characterize_checked(
   }
   out.status.warnings = result.trace.warnings();
   try {
-    // One executor shared by every downstream stage; a 1-thread pool spawns
-    // no workers and every fan-out runs inline on this thread.
-    ThreadPool pool(ThreadPool::Options{
-        input.config.threads > 0
-            ? static_cast<std::size_t>(input.config.threads)
-            : 0,
-        4096});
-    ThreadPool* executor = pool.thread_count() > 1 ? &pool : nullptr;
     ResourceTrace::Options monitor_options;
     monitor_options.ignore_unknown_resources =
         input.trace_options.ignore_unknown_blocking;
     result.monitored =
         ResourceTrace::build(*input.resources, input.samples, monitor_options);
-    result.demand = estimate_demand(*input.resources, *input.rules,
-                                    result.trace, grid, executor);
-    result.usage = attribute_usage(result.demand, result.monitored, grid,
-                                   /*constant_strawman=*/false, executor);
-    result.bottlenecks = detect_bottlenecks(result.usage, result.trace, grid,
-                                            input.config, executor);
+    result.demand =
+        estimate_demand(*input.resources, *input.rules, result.trace, grid);
+    result.usage = attribute_usage(result.demand, result.monitored, grid);
+    result.bottlenecks =
+        detect_bottlenecks(result.usage, result.trace, grid, input.config);
     IssueDetector detector(*input.model, *input.resources, result.trace, grid,
                            input.config);
-    result.issues =
-        detector.detect(result.usage, result.bottlenecks, executor);
+    result.issues = detector.detect(result.usage, result.bottlenecks);
     result.baseline_makespan = detector.baseline_makespan();
   } catch (const CheckError& e) {
     // The trace itself is intact; return it so callers can still inspect

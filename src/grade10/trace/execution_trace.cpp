@@ -58,14 +58,16 @@ ExecutionTrace ExecutionTrace::build(
     }
   };
 
-  struct Pending {
-    InstanceId id = kNoInstance;
-    bool ended = false;
-  };
-  std::unordered_map<std::string, Pending, PathHash, std::equal_to<>> pending;
+  // Instances are found by path through by_path_; `ended` (by InstanceId)
+  // records which have seen their END. All three are sized for a
+  // well-formed log, where half the events are BEGINs.
+  trace.instances_.reserve(phase_events.size() / 2);
+  trace.by_path_.reserve(phase_events.size() / 2);
+  std::vector<char> ended;
+  ended.reserve(phase_events.size() / 2);
 
   // One render buffer reused across all events: END events (half the log)
-  // only probe the maps and never need an owned key.
+  // only probe the map and never need an owned key.
   std::string key;
   for (const auto& event : phase_events) {
     key.clear();
@@ -78,7 +80,7 @@ ExecutionTrace ExecutionTrace::build(
         warn("skipped phase of unknown type: " + key);
         continue;
       }
-      if (pending.contains(key)) {
+      if (trace.by_path_.contains(key)) {
         require_lenient("duplicate phase begin: " + key);
         warn("skipped duplicate begin: " + key);
         continue;
@@ -91,30 +93,31 @@ ExecutionTrace ExecutionTrace::build(
       instance.end = -1;
       instance.machine = event.machine;
       instance.path = key;
-      pending.emplace(key, Pending{instance.id, false});
       trace.by_path_.emplace(key, instance.id);
+      ended.push_back(0);
       trace.instances_.push_back(std::move(instance));
     } else {
-      const auto it = pending.find(key);
-      if (it == pending.end()) {
+      const auto it = trace.by_path_.find(key);
+      if (it == trace.by_path_.end()) {
         if (options.ignore_unknown_phases) continue;
         require_lenient("phase end without begin: " + key);
         warn("skipped end without begin: " + key);
         continue;
       }
-      if (it->second.ended) {
+      const auto id = static_cast<std::size_t>(it->second);
+      if (ended[id]) {
         require_lenient("duplicate phase end: " + key);
         warn("skipped duplicate end: " + key);
         continue;
       }
-      auto& instance = trace.instances_[static_cast<std::size_t>(it->second.id)];
+      auto& instance = trace.instances_[id];
       if (event.time < instance.begin) {
         // Leave the instance open; the synthesis pass below repairs it.
         require_lenient("phase " + key + " ends before it begins");
         warn("skipped end before begin: " + key);
         continue;
       }
-      it->second.ended = true;
+      ended[id] = 1;
       instance.end = event.time;
       trace.end_time_ = std::max(trace.end_time_, event.time);
     }
@@ -122,7 +125,7 @@ ExecutionTrace ExecutionTrace::build(
 
   // Every instance must have ended — a BEGIN without an END is the signature
   // of a crashed worker's log. Lenient mode repairs it below. Walk the
-  // instances in begin order (not `pending`, whose hash order would make the
+  // instances in begin order (not `by_path_`, whose hash order would make the
   // strict-mode error message pick an arbitrary victim).
   std::vector<InstanceId> unended;
   for (const auto& instance : trace.instances_) {

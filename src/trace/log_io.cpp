@@ -1,14 +1,9 @@
 #include "trace/log_io.hpp"
 
-#include <algorithm>
-#include <cerrno>
 #include <charconv>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
 
 namespace g10::trace {
 
@@ -146,20 +141,11 @@ std::optional<std::string> parse_sample_line(
   return std::nullopt;
 }
 
-/// One newline-aligned chunk's parse output. Line numbers are local
-/// (1-based within the chunk); the merge shifts them by the total line
-/// count of the preceding chunks, which reconstructs exact file positions.
-struct ChunkResult {
-  ParsedLog log;
-  std::vector<ParseError> errors;
-  std::optional<ParseError> first_error;  ///< kept even when max_errors == 0
-  std::size_t error_count = 0;
-  std::size_t lines = 0;  ///< lines scanned in this chunk
-  bool stopped = false;   ///< strict mode: stopped at the first bad line
-};
+}  // namespace
 
-ChunkResult parse_chunk(std::string_view text, const ParseOptions& options) {
-  ChunkResult out;
+ParseResult parse_log_text(std::string_view text,
+                           const ParseOptions& options) {
+  ParseResult result;
   std::vector<std::string_view> fields;  // scratch, reused per line
   std::size_t pos = 0;
   std::size_t line_number = 0;
@@ -175,147 +161,27 @@ ChunkResult parse_chunk(std::string_view text, const ParseOptions& options) {
     split_into(trimmed, '\t', fields);
     std::optional<std::string> error;
     if (fields[0] == "PHASE") {
-      error = parse_phase_line(fields, out.log);
+      error = parse_phase_line(fields, result.log);
     } else if (fields[0] == "META") {
-      error = parse_meta_line(fields, out.log);
+      error = parse_meta_line(fields, result.log);
     } else if (fields[0] == "BLOCK") {
-      error = parse_block_line(fields, out.log);
+      error = parse_block_line(fields, result.log);
     } else if (fields[0] == "SAMPLE") {
-      error = parse_sample_line(fields, out.log);
+      error = parse_sample_line(fields, result.log);
     } else {
       error = "unknown record type: " + std::string(fields[0]);
     }
     if (error) {
-      ++out.error_count;
+      ++result.error_count;
       ParseError diagnostic{line_number, *error, std::string(trimmed)};
-      if (!out.first_error) out.first_error = diagnostic;
-      if (out.errors.size() < options.max_errors) {
-        out.errors.push_back(std::move(diagnostic));
-      }
-      if (!options.recover) {
-        out.stopped = true;
-        out.lines = line_number;
-        return out;
-      }
-    }
-  }
-  out.lines = line_number;
-  return out;
-}
-
-/// Splits `text` into newline-aligned chunks of roughly size / threads
-/// bytes, but never smaller than min_chunk_bytes — tiny inputs parse as a
-/// single serial chunk.
-std::vector<std::string_view> split_chunks(std::string_view text,
-                                           std::size_t threads,
-                                           std::size_t min_chunk_bytes) {
-  std::vector<std::string_view> chunks;
-  const std::size_t target = std::max<std::size_t>(
-      std::max<std::size_t>(min_chunk_bytes, 1),
-      text.size() / std::max<std::size_t>(threads, 1));
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.size() - pos > target ? pos + target : text.size();
-    if (end < text.size()) {
-      const std::size_t nl = text.find('\n', end);
-      end = nl == std::string_view::npos ? text.size() : nl + 1;
-    }
-    chunks.push_back(text.substr(pos, end - pos));
-    pos = end;
-  }
-  return chunks;
-}
-
-}  // namespace
-
-ParseResult parse_log_text(std::string_view text,
-                           const ParseOptions& options) {
-  const std::size_t threads = ThreadPool::resolve_threads(
-      options.threads > 0 ? static_cast<std::size_t>(options.threads) : 0);
-  const std::vector<std::string_view> chunks =
-      split_chunks(text, threads, options.min_chunk_bytes);
-
-  std::vector<ChunkResult> parsed(chunks.size());
-  if (chunks.size() <= 1 || threads <= 1) {
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      parsed[i] = parse_chunk(chunks[i], options);
-    }
-  } else {
-    ThreadPool pool(ThreadPool::Options{threads, 4096});
-    pool.parallel_for(chunks.size(), 1, [&](std::size_t i) {
-      parsed[i] = parse_chunk(chunks[i], options);
-    });
-  }
-
-  // Merge in chunk order: record order, error order, and line numbers all
-  // match the serial parse. In strict mode the first failing chunk ends the
-  // merge — its partial records are exactly what a serial parse would have
-  // produced before stopping (earlier chunks are error-free by definition).
-  ParseResult result;
-  std::size_t phase_total = 0;
-  std::size_t block_total = 0;
-  std::size_t sample_total = 0;
-  for (const ChunkResult& chunk : parsed) {
-    phase_total += chunk.log.phase_events.size();
-    block_total += chunk.log.blocking_events.size();
-    sample_total += chunk.log.samples.size();
-    if (chunk.stopped) break;
-  }
-  result.log.phase_events.reserve(phase_total);
-  result.log.blocking_events.reserve(block_total);
-  result.log.samples.reserve(sample_total);
-
-  std::size_t line_offset = 0;
-  for (ChunkResult& chunk : parsed) {
-    std::move(chunk.log.meta.begin(), chunk.log.meta.end(),
-              std::back_inserter(result.log.meta));
-    std::move(chunk.log.phase_events.begin(), chunk.log.phase_events.end(),
-              std::back_inserter(result.log.phase_events));
-    std::move(chunk.log.blocking_events.begin(),
-              chunk.log.blocking_events.end(),
-              std::back_inserter(result.log.blocking_events));
-    std::move(chunk.log.samples.begin(), chunk.log.samples.end(),
-              std::back_inserter(result.log.samples));
-    for (ParseError& err : chunk.errors) {
-      err.line_number += line_offset;
+      if (!result.error) result.error = diagnostic;
       if (result.errors.size() < options.max_errors) {
-        result.errors.push_back(std::move(err));
+        result.errors.push_back(std::move(diagnostic));
       }
+      if (!options.recover) break;
     }
-    result.error_count += chunk.error_count;
-    if (chunk.first_error && !result.error) {
-      result.error = std::move(chunk.first_error);
-      result.error->line_number += line_offset;
-    }
-    line_offset += chunk.lines;
-    if (chunk.stopped) break;
   }
   return result;
-}
-
-ParseResult read_log_file(const std::string& path,
-                          const ParseOptions& options) {
-  errno = 0;
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    // Name the file and the OS reason: a bare "parse failure" on a typo'd
-    // path or a permission problem sends people debugging the wrong layer.
-    ParseResult result;
-    ParseError error{0,
-                     "cannot open log file: " + path + ": " +
-                         (errno != 0 ? std::strerror(errno) : "open failed"),
-                     ""};
-    result.error = error;
-    result.error_count = 1;
-    if (options.max_errors > 0) result.errors.push_back(std::move(error));
-    return result;
-  }
-  file.seekg(0, std::ios::end);
-  const auto size = static_cast<std::size_t>(file.tellg());
-  file.seekg(0, std::ios::beg);
-  std::string text(size, '\0');
-  file.read(text.data(), static_cast<std::streamsize>(size));
-  return parse_log_text(text, options);
 }
 
 ParseResult parse_log(std::istream& is) { return parse_log(is, {}); }

@@ -13,12 +13,11 @@
 // ParseOptions::max_errors diagnostics) instead of stopping at the first —
 // real logs from crashed workers are routinely truncated or corrupted.
 //
-// Ingestion is chunked and zero-copy: the input is bulk-read once, split
-// into newline-aligned chunks parsed concurrently (string_view fields +
-// from_chars, no per-line string or stream allocation), and merged in
-// chunk order. The merged result — records, error list, and every line
-// number — is bit-identical to a line-by-line serial parse at any thread
-// count; strict (non-recover) parses stop at the same first bad line.
+// Ingestion is one zero-copy pass over the whole text: each line's fields
+// are string_views into the input and numbers are read with from_chars, so
+// no per-line string or stream is allocated, and records are appended
+// straight into the ParseResult. Strict (non-recover) parses stop at the
+// first bad line.
 #pragma once
 
 #include <istream>
@@ -76,13 +75,6 @@ struct ParseOptions {
   /// Cap on stored ParseError entries, so a corrupt multi-GB log cannot
   /// balloon the error list; error_count still counts every bad line.
   std::size_t max_errors = 64;
-  /// Parse concurrency. 0 = auto (G10_THREADS env, else hardware threads);
-  /// 1 = serial. Results are identical at every setting.
-  int threads = 0;
-  /// Inputs are split into newline-aligned chunks of at least this many
-  /// bytes, one parse task each. Small inputs therefore parse serially;
-  /// tests lower this to force multi-chunk parses on tiny logs.
-  std::size_t min_chunk_bytes = 1 << 20;
 };
 
 /// Parses a log stream; returns the records or the error(s).
@@ -103,13 +95,9 @@ ParseResult parse_log(std::istream& is);
 ParseResult parse_log(std::istream& is, const ParseOptions& options);
 
 /// Parses an in-memory log (the zero-copy core: record fields are sliced
-/// out of `text` with string_views, chunks parse concurrently).
+/// out of `text` with string_views). Files are read with
+/// trace::read_trace_file.
 ParseResult parse_log_text(std::string_view text,
                            const ParseOptions& options = {});
-
-/// Bulk-reads `path` in one I/O pass and parses it chunked-concurrently.
-/// An unreadable file reports one error with line_number 0.
-ParseResult read_log_file(const std::string& path,
-                          const ParseOptions& options = {});
 
 }  // namespace g10::trace

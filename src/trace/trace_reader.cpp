@@ -1,15 +1,10 @@
 #include "trace/trace_reader.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <fstream>
-#include <future>
 #include <iterator>
-#include <memory>
-#include <optional>
 #include <utility>
 
-#include "common/thread_pool.hpp"
 #include "trace/g10t_io.hpp"
 #include "trace/mapped_file.hpp"
 
@@ -90,15 +85,10 @@ ParseResult read_text(const MappedFile& file, const TraceReadOptions& options,
   ParseOptions parse_options;
   parse_options.recover = options.recover;
   parse_options.max_errors = options.max_errors;
-  parse_options.threads = options.threads;
   ParseResult result = parse_log_text(file.bytes(), parse_options);
   filter_log(filter, result.log);
   return result;
 }
-
-/// Blocks decoded ahead of the consumer when more than one thread is
-/// available.
-constexpr std::size_t kPrefetchBlocks = 4;
 
 /// Does the filter admit any record of this index entry? Conservative: a
 /// true may still yield zero records, a false never loses one.
@@ -187,61 +177,31 @@ ParseResult read_binary(const MappedFile& file, const G10tStructure& structure,
     }
   }
   std::vector<std::size_t> selected;
-  selected.reserve(structure.index.size());
+  std::size_t phase_records = 0;
+  std::size_t blocking_records = 0;
+  std::size_t sample_records = 0;
   for (std::size_t i = 0; i < structure.index.size(); ++i) {
-    if (block_matches(filter, filter_blooms, structure.index[i])) {
-      selected.push_back(i);
+    const IndexEntry& entry = structure.index[i];
+    if (!block_matches(filter, filter_blooms, entry)) continue;
+    selected.push_back(i);
+    // Every record costs at least one payload byte (the decoder rejects a
+    // block claiming more), so a corrupt index cannot size the reservation
+    // beyond the file.
+    const auto records = static_cast<std::size_t>(
+        std::min(entry.record_count, entry.encoded_size));
+    switch (entry.kind) {
+      case BlockKind::kPhase: phase_records += records; break;
+      case BlockKind::kBlocking: blocking_records += records; break;
+      case BlockKind::kSample: sample_records += records; break;
     }
   }
+  result.log.phase_events.reserve(std::min(phase_records, file.size()));
+  result.log.blocking_events.reserve(std::min(blocking_records, file.size()));
+  result.log.samples.reserve(std::min(sample_records, file.size()));
 
-  // Prefetch: keep the next few blocks decoding on the pool while the
-  // consumer appends the current one.
-  const std::size_t pool_threads = ThreadPool::resolve_threads(
-      options.threads > 0 ? static_cast<std::size_t>(options.threads) : 0);
-  const std::size_t prefetch_depth = pool_threads > 1 ? kPrefetchBlocks : 0;
-  std::optional<ThreadPool> pool;
-  if (prefetch_depth > 0) pool.emplace(pool_threads);
-
-  struct InFlight {
-    std::size_t ordinal = 0;
-    std::future<DecodeOutcome> future;
-  };
-  std::deque<InFlight> in_flight;
-  std::size_t next_prefetch = 0;  // index into `selected`
-
-  const auto drain = [&] {
-    for (InFlight& flight : in_flight) flight.future.wait();
-    in_flight.clear();
-  };
-
-  for (std::size_t k = 0; k < selected.size(); ++k) {
-    if (prefetch_depth > 0) {
-      if (next_prefetch <= k) next_prefetch = k + 1;
-      while (next_prefetch < selected.size() &&
-             in_flight.size() < prefetch_depth) {
-        const std::size_t ordinal = selected[next_prefetch++];
-        const IndexEntry& entry = structure.index[ordinal];
-        file.advise_will_need(entry.offset, entry.encoded_size);
-        auto promise = std::make_shared<std::promise<DecodeOutcome>>();
-        InFlight flight;
-        flight.ordinal = ordinal;
-        flight.future = promise->get_future();
-        in_flight.push_back(std::move(flight));
-        pool->submit([&file, &structure, ordinal, promise] {
-          promise->set_value(decode_one(file, structure, ordinal));
-        });
-      }
-    }
-
-    const std::size_t ordinal = selected[k];
-    DecodeOutcome outcome;
-    if (!in_flight.empty() && in_flight.front().ordinal == ordinal) {
-      outcome = in_flight.front().future.get();
-      in_flight.pop_front();
-    } else {
-      outcome = decode_one(file, structure, ordinal);
-    }
-
+  // Decode the admitted blocks inline, in index order.
+  for (const std::size_t ordinal : selected) {
+    DecodeOutcome outcome = decode_one(file, structure, ordinal);
     if (!outcome.error.empty()) {
       // Corrupt block: 1-based block ordinal in the "line" slot so strict
       // and lenient consumers treat it like a damaged line, while
@@ -252,10 +212,7 @@ ParseResult read_binary(const MappedFile& file, const G10tStructure& structure,
       if (result.errors.size() < options.max_errors) {
         result.errors.push_back(std::move(diagnostic));
       }
-      if (!options.recover) {
-        drain();
-        return result;
-      }
+      if (!options.recover) return result;
       continue;
     }
 
@@ -264,7 +221,6 @@ ParseResult read_binary(const MappedFile& file, const G10tStructure& structure,
     append(filter, block.blocking_events, result.log.blocking_events);
     append(filter, block.samples, result.log.samples);
   }
-  drain();
   return result;
 }
 

@@ -5,15 +5,14 @@
 // The format comes from TraceReadOptions::format, or from the file's bytes
 // (the .g10t magic wins over any extension) when it is kAuto:
 //
-//  - Text: the file is mapped (or buffered) and handed to the chunked
-//    zero-copy parser; filters are applied per record after the parse.
-//    Byte-for-byte the same results as read_log_file.
+//  - Text: the file is mapped (or buffered) and handed to the zero-copy
+//    parser (parse_log_text); filters are applied per record after the
+//    parse.
 //  - Binary: the file is mapped; the header, symbol table, META section,
 //    and block index are parsed, then the index is walked: blocks whose
 //    (machine range, time range, path-type bloom) cannot match the filter
 //    are skipped without touching their payloads, and the rest are decoded
-//    once, in index order. With more than one thread, the next few block
-//    decodes run on a ThreadPool while the current block is appended.
+//    inline, once each, in index order.
 //
 // Both formats return the same ParseResult shape the text parser produces:
 // corrupt binary blocks surface as ParseError entries (with the block
@@ -92,8 +91,6 @@ struct TraceReadOptions {
   /// Text-parser semantics, reused for corrupt binary blocks: recover=true
   /// skips damage and keeps going, false stops at the first problem.
   bool recover = false;
-  /// Parse / prefetch concurrency (0 = auto via G10_THREADS).
-  int threads = 0;
   /// false = buffered read instead of mmap (identity-test knob).
   bool use_mmap = true;
   /// Forwarded to the text parser.
@@ -102,8 +99,8 @@ struct TraceReadOptions {
 
 /// Reads every record of `path` matching `filter`, in stream order.
 /// File-level failures — unreadable file, truncated or corrupt `.g10t`
-/// header or section table — are reported the way read_log_file does (one
-/// ParseError with line_number 0), never as an assert or exception.
+/// header or section table — are reported as one ParseError with
+/// line_number 0, never as an assert or exception.
 ParseResult read_trace_file(const std::string& path,
                             const TraceReadOptions& options = {},
                             const TraceFilter& filter = {});

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -55,26 +54,6 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
       }
     }
   }
-}
-
-TEST(ThreadPoolTest, ParallelMapPlacesResultsByInputIndex) {
-  ThreadPool pool(4);
-  std::vector<int> items(200);
-  std::iota(items.begin(), items.end(), 0);
-  const std::vector<std::string> mapped = parallel_map(
-      &pool, items, [](int v) { return std::to_string(v * v); });
-  ASSERT_EQ(mapped.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(mapped[i], std::to_string(static_cast<int>(i * i)));
-  }
-}
-
-TEST(ThreadPoolTest, FreeFunctionWithNullPoolRunsSerially) {
-  std::vector<std::size_t> order;
-  parallel_for(nullptr, 10, 3, [&](std::size_t i) { order.push_back(i); });
-  std::vector<std::size_t> expected(10);
-  std::iota(expected.begin(), expected.end(), std::size_t{0});
-  EXPECT_EQ(order, expected);  // strictly in-order: fully inline
 }
 
 TEST(ThreadPoolTest, RethrowsLowestIndexedChunkException) {

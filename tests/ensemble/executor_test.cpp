@@ -270,7 +270,7 @@ TEST(WatchdogTest, HungFleetNeverWedgesTheThreadPool) {
   ThreadPool pool(4);
   constexpr std::size_t kRuns = 16;
   std::vector<RunResult> results(kRuns);
-  parallel_for(&pool, kRuns, 1, [&](std::size_t i) {
+  pool.parallel_for(kRuns, 1, [&](std::size_t i) {
     results[i] = executor.execute(test_scenario(i));
   });
 
@@ -292,7 +292,7 @@ TEST(WatchdogTest, HungFleetNeverWedgesTheThreadPool) {
 
   // The pool still works: the hung fleet released every slot.
   std::atomic<std::size_t> after{0};
-  parallel_for(&pool, 100, 1, [&](std::size_t) { ++after; });
+  pool.parallel_for(100, 1, [&](std::size_t) { ++after; });
   EXPECT_EQ(after.load(), 100u);
 }
 

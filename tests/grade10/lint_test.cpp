@@ -182,10 +182,10 @@ class TraceFixtureTest : public ::testing::TestWithParam<FixtureCase> {
 TEST_P(TraceFixtureTest, TriggersItsRule) {
   const FixtureCase& c = GetParam();
   const core::ModelDescription model = load_model();
-  trace::ParseOptions options;
+  trace::TraceReadOptions options;
   options.recover = true;
   const trace::ParseResult parsed =
-      trace::read_log_file(fixture_path(c.file), options);
+      trace::read_trace_file(fixture_path(c.file), options);
   LintReport report = lint_parse_errors(parsed, c.file);
   report.merge(lint_trace(model, parsed.log, {}, c.file));
   EXPECT_TRUE(report.has_rule(c.rule_id))

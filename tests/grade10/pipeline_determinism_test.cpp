@@ -1,7 +1,7 @@
-// The parallelized pipeline's core guarantee: the CharacterizationResult is
-// bit-identical at every thread count. Each field that feeds reports or
+// The pipeline's core guarantee: the CharacterizationResult is bit-identical
+// on every run of the same input. Each field that feeds reports or
 // downstream stages is compared exactly (doubles with ==, not tolerances)
-// between a serial run and multi-threaded runs of the same input.
+// between repeated in-process runs, whose heap layouts differ.
 #include <gtest/gtest.h>
 
 #include "algorithms/programs.hpp"
@@ -50,7 +50,7 @@ const Workload& workload() {
   return w;
 }
 
-CharacterizationResult characterize_with(int threads) {
+CharacterizationResult characterize_workload() {
   const Workload& w = workload();
   CharacterizationInput input;
   input.model = &w.model.execution;
@@ -61,7 +61,6 @@ CharacterizationResult characterize_with(int threads) {
   input.samples = w.samples;
   input.config.timeslice = 10 * kMillisecond;
   input.config.min_issue_impact = 0.0;
-  input.config.threads = threads;
   return characterize(input);
 }
 
@@ -152,23 +151,10 @@ void expect_identical(const CharacterizationResult& a,
   EXPECT_EQ(a.baseline_makespan, b.baseline_makespan);
 }
 
-TEST(PipelineDeterminismTest, TwoThreadsMatchesSerialBitForBit) {
-  const CharacterizationResult serial = characterize_with(1);
-  const CharacterizationResult parallel = characterize_with(2);
-  expect_identical(serial, parallel);
-}
-
-TEST(PipelineDeterminismTest, EightThreadsMatchesSerialBitForBit) {
-  const CharacterizationResult serial = characterize_with(1);
-  const CharacterizationResult parallel = characterize_with(8);
-  expect_identical(serial, parallel);
-}
-
-TEST(PipelineDeterminismTest, RepeatedParallelRunsAreStable) {
-  // Scheduling differs run to run; the result must not.
-  const CharacterizationResult first = characterize_with(8);
+TEST(PipelineDeterminismTest, RepeatedRunsMatchBitForBit) {
+  const CharacterizationResult first = characterize_workload();
   for (int repeat = 0; repeat < 3; ++repeat) {
-    expect_identical(first, characterize_with(8));
+    expect_identical(first, characterize_workload());
   }
 }
 

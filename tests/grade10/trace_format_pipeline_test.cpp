@@ -1,9 +1,8 @@
 // End-to-end trace-format identity: for each bundled engine model, the
 // golden trace characterized from its text log and from its `.g10t`
 // conversion must produce bit-identical CharacterizationResults — compared
-// through the same per-phase-path FNV digests `--det-check` uses, at
-// several thread counts. This is the acceptance gate for the binary
-// format: not "close", the same bits.
+// through the same per-phase-path FNV digests `--det-check` uses. This is
+// the acceptance gate for the binary format: not "close", the same bits.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -64,7 +63,7 @@ std::string binary_path(const Fixture& fixture) {
       (test_root() / (fixture.log + ".g10t")).string();
   if (!std::filesystem::exists(out)) {
     const trace::ParseResult parsed =
-        trace::read_log_file(text_path(fixture), {});
+        trace::read_trace_file(text_path(fixture));
     EXPECT_TRUE(parsed.ok()) << fixture.log;
     trace::G10tWriteOptions options;
     options.block_records = 128;  // several blocks per kind
@@ -75,8 +74,7 @@ std::string binary_path(const Fixture& fixture) {
   return out;
 }
 
-DetSummary digest(const ModelDescription& model, const trace::ParsedLog& log,
-                  int threads) {
+DetSummary digest(const ModelDescription& model, const trace::ParsedLog& log) {
   CharacterizationInput input;
   input.model = &model.execution;
   input.resources = &model.resources;
@@ -86,7 +84,6 @@ DetSummary digest(const ModelDescription& model, const trace::ParsedLog& log,
   input.samples = log.samples;
   input.config.timeslice = 10 * kMillisecond;
   input.config.min_issue_impact = 0.0;
-  input.config.threads = threads;
   return fold_characterization(characterize(input), model.resources);
 }
 
@@ -99,14 +96,11 @@ TEST(TraceFormatPipelineTest, CharacterizationIsBitIdenticalAcrossFormats) {
         trace::read_trace_file(binary_path(fixture));
     ASSERT_TRUE(binary.ok()) << fixture.log;
 
-    for (const int threads : {1, 2, 8}) {
-      const DetSummary from_text = digest(model, text.log, threads);
-      const DetSummary from_binary = digest(model, binary.log, threads);
-      const auto divergence = first_divergence(from_text, from_binary);
-      EXPECT_FALSE(divergence.has_value())
-          << fixture.log << " at " << threads << " thread(s) diverged at '"
-          << divergence->path << "': " << divergence->detail;
-    }
+    const auto divergence = first_divergence(digest(model, text.log),
+                                             digest(model, binary.log));
+    EXPECT_FALSE(divergence.has_value())
+        << fixture.log << " diverged at '" << divergence->path
+        << "': " << divergence->detail;
   }
 }
 

@@ -250,12 +250,20 @@ TEST(AnalyzeExitCodeTest, BadFilterSyntaxIsBadArgs) {
   EXPECT_EQ(exit_code(base + " --timeslice-ms -5"), kExitBadArgs);
   EXPECT_EQ(exit_code(base + " --timeslice-ms abc"), kExitBadArgs);
   EXPECT_EQ(exit_code(base + " --min-impact abc"), kExitBadArgs);
-  EXPECT_EQ(exit_code(base + " --threads abc"), kExitBadArgs);
 }
 
-TEST(LintExitCodeTest, UnparseableThreadsIsBadArgs) {
-  EXPECT_EQ(exit_code(std::string(G10_LINT_BIN) + " --model " +
-                      ok_artifacts() + "/model.g10 --threads abc"),
+TEST(ThreadsFlagExitCodeTest, RemovedFlagIsBadArgs) {
+  // The analysis is serial; --threads is an unknown flag, not a no-op.
+  const std::string model = " --model " + ok_artifacts() + "/model.g10";
+  EXPECT_EQ(exit_code(std::string(G10_ANALYZE_BIN) + model + " --log " +
+                      ok_binary_trace() + " --threads 1"),
+            kExitBadArgs);
+  EXPECT_EQ(exit_code(std::string(G10_LINT_BIN) + model + " --threads 1"),
+            kExitBadArgs);
+  EXPECT_EQ(exit_code(std::string(G10_CONVERT_BIN) + " --in " +
+                      ok_binary_trace() + " --out " +
+                      (test_root() / "threads_flag.log").string() +
+                      " --threads 1"),
             kExitBadArgs);
 }
 
@@ -278,12 +286,33 @@ TEST(DetCheckExitCodeTest, InjectedDivergenceIsAnalysisError) {
 TEST(DetCheckExitCodeTest, SingleExecutionCountIsBadArgs) {
   EXPECT_EQ(exit_code(std::string(G10_RUN_BIN) + " --det-check 1"),
             kExitBadArgs);
-}
-
-TEST(DetCheckExitCodeTest, AnalyzeThreadSweepIsZero) {
   const std::string& dir = ok_artifacts();
   EXPECT_EQ(exit_code(std::string(G10_ANALYZE_BIN) + " --model " + dir +
-                      "/model.g10 --log " + dir + "/run.log --det-check 4"),
+                      "/model.g10 --log " + dir + "/run.log --det-check 1"),
+            kExitBadArgs);
+}
+
+TEST(DetCheckExitCodeTest, CountAboveIntMaxIsBadArgs) {
+  // Rejected while parsing arguments, so no execution starts. A narrowing
+  // cast would turn 4294967298 into 2 executions.
+  const std::string run = std::string(G10_RUN_BIN) +
+                          " --engine pregel --algorithm pagerank"
+                          " --dataset rmat:5 --workers 2 --cores 2"
+                          " --iterations 2 --det-check ";
+  const std::string& dir = ok_artifacts();
+  const std::string analyze = std::string(G10_ANALYZE_BIN) + " --model " +
+                              dir + "/model.g10 --log " + dir +
+                              "/run.log --det-check ";
+  for (const char* count : {"2147483648", "4294967298"}) {
+    EXPECT_EQ(exit_code(run + count), kExitBadArgs) << count;
+    EXPECT_EQ(exit_code(analyze + count), kExitBadArgs) << count;
+  }
+}
+
+TEST(DetCheckExitCodeTest, AnalyzeRepeatedExecutionsAreZero) {
+  const std::string& dir = ok_artifacts();
+  EXPECT_EQ(exit_code(std::string(G10_ANALYZE_BIN) + " --model " + dir +
+                      "/model.g10 --log " + dir + "/run.log --det-check 3"),
             kExitOk);
 }
 

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace g10::trace {
 namespace {
@@ -206,10 +206,11 @@ TEST(LogIoTest, FinalLineWithoutNewlineIsParsed) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked concurrent parsing. min_chunk_bytes is lowered to force tiny logs
-// into many chunks; results must match the serial parse exactly.
+// Longer generated logs: exact line numbers, strict stops, CRLF and
+// unterminated final lines.
 
 /// A log with records on every line and damage at the given 1-based lines.
+/// Line i's text depends only on i, so a shorter log is a prefix.
 std::string make_log(std::size_t lines, const std::vector<std::size_t>& bad) {
   std::ostringstream os;
   for (std::size_t i = 1; i <= lines; ++i) {
@@ -228,66 +229,18 @@ std::string make_log(std::size_t lines, const std::vector<std::size_t>& bad) {
   return os.str();
 }
 
-TEST(LogIoTest, ChunkedLenientParseMatchesSerialExactly) {
-  const std::string text = make_log(500, {40, 41, 333, 499});
-  ParseOptions serial_options;
-  serial_options.recover = true;
-  serial_options.threads = 1;
-  const ParseResult serial = parse_log_text(text, serial_options);
-
-  ParseOptions chunked_options = serial_options;
-  chunked_options.threads = 4;
-  chunked_options.min_chunk_bytes = 64;  // force many chunks
-  const ParseResult chunked = parse_log_text(text, chunked_options);
-
-  EXPECT_EQ(serialize(chunked.log), serialize(serial.log));
-  EXPECT_EQ(chunked.error_count, serial.error_count);
-  ASSERT_EQ(chunked.errors.size(), serial.errors.size());
-  for (std::size_t i = 0; i < serial.errors.size(); ++i) {
-    EXPECT_EQ(chunked.errors[i].line_number, serial.errors[i].line_number);
-    EXPECT_EQ(chunked.errors[i].message, serial.errors[i].message);
-    EXPECT_EQ(chunked.errors[i].line, serial.errors[i].line);
+/// make_log's records with the damaged lines left out.
+std::string expected_records(std::size_t lines,
+                             const std::vector<std::size_t>& bad) {
+  std::string kept;
+  std::istringstream all(make_log(lines, {}));
+  std::string line;
+  for (std::size_t i = 1; std::getline(all, line); ++i) {
+    if (std::find(bad.begin(), bad.end(), i) == bad.end()) {
+      kept += line + '\n';
+    }
   }
-  ASSERT_TRUE(chunked.error.has_value());
-  EXPECT_EQ(chunked.error->line_number, 40u);
-}
-
-TEST(LogIoTest, ChunkedLenientParseKeepsExactLineNumbersPerChunk) {
-  // Bad lines placed so that (at 64-byte chunks) they land in different
-  // chunks; their reported numbers must still be absolute file positions.
-  const std::vector<std::size_t> bad = {5, 120, 121, 250};
-  const std::string text = make_log(256, bad);
-  ParseOptions options;
-  options.recover = true;
-  options.threads = 8;
-  options.min_chunk_bytes = 64;
-  const ParseResult result = parse_log_text(text, options);
-  ASSERT_EQ(result.errors.size(), bad.size());
-  for (std::size_t i = 0; i < bad.size(); ++i) {
-    EXPECT_EQ(result.errors[i].line_number, bad[i]);
-  }
-  EXPECT_EQ(result.error_count, bad.size());
-}
-
-TEST(LogIoTest, ChunkedStrictParseStopsAtTheSameFirstError) {
-  const std::string text = make_log(300, {142, 260});
-  ParseOptions serial_options;  // strict
-  serial_options.threads = 1;
-  const ParseResult serial = parse_log_text(text, serial_options);
-
-  ParseOptions chunked_options;
-  chunked_options.threads = 4;
-  chunked_options.min_chunk_bytes = 64;
-  const ParseResult chunked = parse_log_text(text, chunked_options);
-
-  ASSERT_FALSE(serial.ok());
-  ASSERT_FALSE(chunked.ok());
-  EXPECT_EQ(chunked.error->line_number, 142u);
-  EXPECT_EQ(chunked.error->line_number, serial.error->line_number);
-  EXPECT_EQ(chunked.error->message, serial.error->message);
-  // Records kept before the stop are the same prefix at any thread count.
-  EXPECT_EQ(serialize(chunked.log), serialize(serial.log));
-  EXPECT_EQ(chunked.error_count, serial.error_count);
+  return serialize(parse_log_text(kept).log);
 }
 
 /// Rewrites every "\n" as "\r\n" (CRLF logs from Windows-side tooling).
@@ -301,97 +254,69 @@ std::string with_crlf(const std::string& text) {
   return out;
 }
 
-TEST(LogIoTest, CrlfChunkedParseMatchesSerialExactly) {
-  const std::string text = with_crlf(make_log(400, {40, 251}));
-  ParseOptions serial_options;
-  serial_options.recover = true;
-  serial_options.threads = 1;
-  const ParseResult serial = parse_log_text(text, serial_options);
-
-  ParseOptions chunked_options = serial_options;
-  chunked_options.threads = 4;
-  chunked_options.min_chunk_bytes = 64;
-  const ParseResult chunked = parse_log_text(text, chunked_options);
-
-  EXPECT_EQ(serialize(chunked.log), serialize(serial.log));
-  EXPECT_EQ(chunked.error_count, serial.error_count);
-  ASSERT_EQ(chunked.errors.size(), serial.errors.size());
-  for (std::size_t i = 0; i < serial.errors.size(); ++i) {
-    EXPECT_EQ(chunked.errors[i].line_number, serial.errors[i].line_number);
-    EXPECT_EQ(chunked.errors[i].line, serial.errors[i].line);
+TEST(LogIoTest, LenientParseReportsExactLineNumbers) {
+  const std::vector<std::size_t> bad = {5, 40, 41, 333, 499};
+  const ParseResult result =
+      parse_log_text(make_log(500, bad), {.recover = true});
+  ASSERT_EQ(result.errors.size(), bad.size());
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_EQ(result.errors[i].line_number, bad[i]);
+    EXPECT_EQ(result.errors[i].message, "unknown record type: BROKEN");
+    EXPECT_EQ(result.errors[i].line,
+              "BROKEN\trecord\t" + std::to_string(bad[i]));
   }
-  // CRLF changes bytes, not records: the LF parse yields the same records.
-  const ParseResult lf = parse_log_text(make_log(400, {40, 251}),
-                                        serial_options);
-  EXPECT_EQ(serialize(serial.log), serialize(lf.log));
+  EXPECT_EQ(result.error_count, bad.size());
+  ASSERT_TRUE(result.error.has_value());
+  EXPECT_EQ(result.error->line_number, 5u);
+  EXPECT_EQ(serialize(result.log), expected_records(500, bad));
 }
 
-TEST(LogIoTest, MissingFinalNewlineChunkedParseMatchesSerial) {
+TEST(LogIoTest, StrictParseStopsAtTheFirstError) {
+  const ParseResult result = parse_log_text(make_log(300, {142, 260}));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error->line_number, 142u);
+  EXPECT_EQ(result.error->message, "unknown record type: BROKEN");
+  EXPECT_EQ(result.error_count, 1u);
+  ASSERT_EQ(result.errors.size(), 1u);
+  // Exactly the records of the lines before the stop are kept.
+  EXPECT_EQ(serialize(result.log), expected_records(141, {}));
+}
+
+TEST(LogIoTest, CrlfLenientParseMatchesLf) {
+  const std::vector<std::size_t> bad = {40, 251};
+  const ParseResult crlf =
+      parse_log_text(with_crlf(make_log(400, bad)), {.recover = true});
+  ASSERT_EQ(crlf.errors.size(), bad.size());
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_EQ(crlf.errors[i].line_number, bad[i]);
+    // The carriage return is trimmed from the reported line text.
+    EXPECT_EQ(crlf.errors[i].line,
+              "BROKEN\trecord\t" + std::to_string(bad[i]));
+  }
+  // CRLF changes bytes, not records: the LF parse yields the same records.
+  EXPECT_EQ(serialize(crlf.log), expected_records(400, bad));
+}
+
+TEST(LogIoTest, MissingFinalNewlineKeepsTheLastRecord) {
   std::string text = make_log(300, {});
   ASSERT_EQ(text.back(), '\n');
   text.pop_back();  // crashed writer: last line has no terminator
-
-  const ParseResult serial = parse_log_text(text, {.threads = 1});
-  const ParseResult chunked = parse_log_text(
-      text, {.threads = 8, .min_chunk_bytes = 64});
-  ASSERT_TRUE(serial.ok()) << serial.error->message;
-  ASSERT_TRUE(chunked.ok()) << chunked.error->message;
-  EXPECT_EQ(serialize(chunked.log), serialize(serial.log));
-
+  const ParseResult result = parse_log_text(text);
+  ASSERT_TRUE(result.ok()) << result.error->message;
   // The unterminated record is present, not dropped.
-  const ParseResult terminated = parse_log_text(make_log(300, {}),
-                                                {.threads = 1});
-  EXPECT_EQ(serialize(serial.log), serialize(terminated.log));
+  EXPECT_EQ(serialize(result.log), expected_records(300, {}));
 }
 
-TEST(LogIoTest, CrlfWithTruncatedFinalLineMatchesSerial) {
+TEST(LogIoTest, CrlfWithTruncatedFinalLineReportsTheLastLine) {
   // Both quirks at once: CRLF line endings and a half-written final line.
   std::string text = with_crlf(make_log(200, {}));
   text += "PHASE\tE\tJo";  // no terminator
-  ParseOptions serial_options;
-  serial_options.recover = true;
-  serial_options.threads = 1;
-  const ParseResult serial = parse_log_text(text, serial_options);
-
-  ParseOptions chunked_options = serial_options;
-  chunked_options.threads = 4;
-  chunked_options.min_chunk_bytes = 64;
-  const ParseResult chunked = parse_log_text(text, chunked_options);
-
-  EXPECT_EQ(serialize(chunked.log), serialize(serial.log));
-  EXPECT_EQ(chunked.error_count, serial.error_count);
-  ASSERT_EQ(serial.errors.size(), 1u);
-  ASSERT_EQ(chunked.errors.size(), 1u);
-  EXPECT_EQ(chunked.errors[0].line_number, serial.errors[0].line_number);
-  EXPECT_EQ(chunked.errors[0].line_number, 201u);
-}
-
-TEST(LogIoTest, ChunkedParseOfCleanLogMatchesSerial) {
-  const std::string text = make_log(1000, {});
-  const ParseResult serial = parse_log_text(text, {.threads = 1});
-  const ParseResult chunked = parse_log_text(
-      text, {.threads = 8, .min_chunk_bytes = 128});
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(chunked.ok());
-  EXPECT_EQ(serialize(chunked.log), serialize(serial.log));
-}
-
-TEST(LogIoTest, ReadLogFileRoundTripsAndReportsMissingFiles) {
-  const std::string path = ::testing::TempDir() + "log_io_test_run.log";
-  {
-    std::ofstream out(path);
-    out << make_log(50, {});
-  }
-  const ParseResult result = read_log_file(path);
-  EXPECT_TRUE(result.ok());
-  EXPECT_FALSE(result.log.phase_events.empty());
-  std::remove(path.c_str());
-
-  const ParseResult missing = read_log_file(path + ".does-not-exist");
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.error->line_number, 0u);
-  EXPECT_NE(missing.error->message.find("cannot open"), std::string::npos);
-  EXPECT_EQ(missing.error_count, 1u);
+  const ParseResult result = parse_log_text(text, {.recover = true});
+  EXPECT_EQ(result.error_count, 1u);
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_EQ(result.errors[0].line_number, 201u);
+  EXPECT_EQ(result.errors[0].line, "PHASE\tE\tJo");
+  EXPECT_EQ(serialize(result.log), expected_records(200, {}));
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Format-independent read_trace_file: text-vs-binary identity over the
 // golden engine traces, mmap-vs-buffered identity, filter equivalence
-// across formats, index-level block skipping, corrupt-block strict/lenient
-// semantics, and serial-vs-prefetching determinism.
+// across formats, index-level block skipping, and corrupt-block
+// strict/lenient semantics.
 #include "trace/trace_reader.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -55,7 +56,7 @@ std::string binary_of(const std::string& name,
       (test_root() / (name + "." + std::to_string(block_records) + ".g10t"))
           .string();
   if (!std::filesystem::exists(out)) {
-    const ParseResult parsed = read_log_file(golden_path(name), {});
+    const ParseResult parsed = read_trace_file(golden_path(name));
     EXPECT_TRUE(parsed.ok());
     G10tWriteOptions options;
     options.block_records = block_records;  // several blocks per kind
@@ -93,21 +94,6 @@ TEST(TraceReaderTest, BufferedReadMatchesMmapForBothFormats) {
     ASSERT_TRUE(mapped.ok()) << path;
     ASSERT_TRUE(plain.ok()) << path;
     EXPECT_EQ(render(mapped.log), render(plain.log)) << path;
-  }
-}
-
-TEST(TraceReaderTest, PrefetchOnAndOffProduceIdenticalResults) {
-  TraceReadOptions serial;
-  serial.threads = 1;
-  TraceReadOptions prefetching;
-  prefetching.threads = 4;
-  for (const std::string& name : golden_logs()) {
-    const std::string path = binary_of(name, 16);  // many small blocks
-    const ParseResult a = read_trace_file(path, serial);
-    const ParseResult b = read_trace_file(path, prefetching);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(render(a.log), render(b.log)) << name;
   }
 }
 
@@ -251,6 +237,46 @@ TEST(TraceReaderTest, CorruptBlockIsSkippedWhenRecovering) {
   EXPECT_LT(damaged.log.phase_events.size() + damaged.log.samples.size(),
             intact.log.phase_events.size() + intact.log.samples.size());
   EXPECT_GT(damaged.log.phase_events.size(), 0u);
+}
+
+TEST(TraceReaderTest, InflatedIndexRecordCountIsABlockError) {
+  // The reader sizes its result from the index; a record count far beyond
+  // the payload must surface as that block's error, not as a huge
+  // allocation.
+  const std::string name = golden_logs()[0];
+  std::string bytes;
+  {
+    std::ifstream in(binary_of(name, 16), std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    bytes = std::move(buffer).str();
+  }
+  const G10tStructureParse parsed = parse_g10t_structure(bytes);
+  ASSERT_TRUE(parsed.ok());
+  FileHeader header = parsed.structure.header;
+  const std::size_t ordinal = parsed.structure.index.size() / 2;
+  std::string index;
+  for (std::size_t i = 0; i < parsed.structure.index.size(); ++i) {
+    IndexEntry entry = parsed.structure.index[i];
+    if (i == ordinal) entry.record_count = std::uint64_t{1} << 62;
+    encode_index_entry(index, entry);
+  }
+  bytes.resize(header.index_offset);
+  bytes += index;
+  header.index_size = index.size();
+  header.file_size = bytes.size();
+  const std::string encoded = encode_header(header);
+  bytes.replace(0, encoded.size(), encoded);
+  const std::string path = (test_root() / "inflated_count.g10t").string();
+  std::ofstream(path, std::ios::binary) << bytes;
+
+  TraceReadOptions recover;
+  recover.recover = true;
+  const ParseResult damaged = read_trace_file(path, recover);
+  ASSERT_EQ(damaged.error_count, 1u);
+  EXPECT_EQ(damaged.errors[0].line_number, ordinal + 1);
+  EXPECT_NE(damaged.errors[0].message.find("record count"),
+            std::string::npos);
 }
 
 TEST(TraceReaderTest, FilteredBinaryReadSkipsBlocks) {

@@ -2,7 +2,7 @@
 //
 //   g10_analyze --model <model.g10> --log <run.log | run.g10t>
 //               [--timeslice-ms MS] [--min-impact PCT]
-//               [--threads N] [--lenient | --strict] [--no-preflight]
+//               [--lenient | --strict] [--no-preflight]
 //               [--det-check N] [--trace-format auto|text|binary]
 //               [--machines M,M,...] [--phases TYPE,TYPE,...]
 //               [--time-range LO:HI]
@@ -33,16 +33,15 @@
 // bad lines are skipped, truncated phases get synthesized ends and are
 // flagged degraded — and characterizes the run end to end anyway.
 //
-// --threads N caps the parse/characterization concurrency (0 = auto via
-// the G10_THREADS environment variable, else all hardware threads;
-// 1 = fully serial). Results are identical at every setting.
+// The analysis runs serially on one thread; parallelism lives across
+// traces, in g10_ensemble.
 //
-// --det-check N is the runtime determinism oracle for that promise
-// (DESIGN.md §14): instead of printing reports, it parses and characterizes
-// the same input at thread counts 1, 2, and N, folds every characterization
-// output (instance tree, attribution, bottlenecks, issues) into
-// per-phase-path FNV hashes, and compares. On divergence it names the first
-// divergent phase path and exits 5 (analysis error).
+// --det-check N is the runtime determinism oracle (DESIGN.md §14): instead
+// of printing reports, it reads and characterizes the same input N times
+// (N >= 2) in one process, folds every characterization output (instance
+// tree, attribution, bottlenecks, issues) into per-phase-path FNV hashes,
+// and compares each execution with the first. On divergence it names the
+// first divergent phase path and exits 5 (analysis error).
 //
 // Exit codes (src/common/exit_codes.hpp): 0 success, 2 bad arguments,
 // 3 parse failure (unreadable/malformed model or log, strict-mode lint or
@@ -80,10 +79,9 @@ struct Args {
   std::string chrome_trace_path;  ///< optional chrome://tracing export
   DurationNs timeslice = 50 * kMillisecond;
   double min_impact = 0.01;
-  int threads = 0;  ///< 0 = auto (G10_THREADS, else hardware)
   bool lenient = false;
   bool preflight = true;
-  int det_check = 0;  ///< 0 = off; otherwise max thread count to sweep
+  int det_check = 0;  ///< 0 = off; otherwise number of executions (>= 2)
   trace::TraceFormat trace_format = trace::TraceFormat::kAuto;
   std::vector<trace::MachineId> machines;
   std::vector<std::string> phases;
@@ -94,7 +92,7 @@ int usage() {
   std::cerr << "usage: g10_analyze --model <model.g10> "
                "--log <run.log | run.g10t>\n"
                "                   [--timeslice-ms MS] [--min-impact FRAC]\n"
-               "                   [--chrome-trace <out.json>] [--threads N]\n"
+               "                   [--chrome-trace <out.json>]\n"
                "                   [--lenient | --strict] [--no-preflight]\n"
                "                   [--det-check N] "
                "[--trace-format auto|text|binary]\n"
@@ -137,17 +135,13 @@ std::optional<Args> parse_args(int argc, char** argv) {
       const auto impact = parse_double(value);
       if (!impact) return std::nullopt;
       args.min_impact = *impact;
-    } else if (arg == "--threads") {
-      const auto n = parse_int(value);
-      if (!n || *n < 0 || *n > std::numeric_limits<int>::max()) {
-        return std::nullopt;
-      }
-      args.threads = static_cast<int>(*n);
     } else if (arg == "--chrome-trace") {
       args.chrome_trace_path = value;
     } else if (arg == "--det-check") {
       const auto n = parse_int(value);
-      if (!n || *n < 1) return std::nullopt;
+      if (!n || *n < 2 || *n > std::numeric_limits<int>::max()) {
+        return std::nullopt;
+      }
       args.det_check = static_cast<int>(*n);
     } else if (arg == "--trace-format") {
       if (value == "auto") {
@@ -219,28 +213,40 @@ trace::TraceFilter build_filter(const Args& args,
   return filter;
 }
 
-trace::TraceReadOptions reader_options(const Args& args, int threads) {
+trace::TraceReadOptions reader_options(const Args& args) {
   trace::TraceReadOptions options;
   options.format = args.trace_format;
   options.recover = true;  // always collect the full error list
-  options.threads = threads;
   return options;
 }
 
-/// The determinism oracle: parse + characterize the same input at thread
-/// counts 1, 2, and N, fold each characterization into per-phase-path
-/// hashes, and compare against the serial baseline.
-int det_check(const Args& args, const core::ModelParseResult& model) {
-  std::vector<int> counts{1, 2, args.det_check};
-  std::sort(counts.begin(), counts.end());
-  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+/// The pipeline input for `log` under the command-line configuration.
+core::CharacterizationInput characterization_input(
+    const Args& args, const core::ModelParseResult& model,
+    const trace::ParseResult& log) {
+  core::CharacterizationInput input;
+  input.model = &model.model.execution;
+  input.resources = &model.model.resources;
+  input.rules = &model.model.rules;
+  input.phase_events = log.log.phase_events;
+  input.blocking_events = log.log.blocking_events;
+  input.samples = log.log.samples;
+  input.config.timeslice = args.timeslice;
+  input.config.min_issue_impact = args.min_impact;
+  input.trace_options.lenient = args.lenient;
+  return input;
+}
 
+/// The determinism oracle: read + characterize the same input
+/// args.det_check times, fold each characterization into per-phase-path
+/// hashes, and compare every execution with the first.
+int det_check(const Args& args, const core::ModelParseResult& model) {
   const trace::TraceFilter filter =
       build_filter(args, model.model.execution);
-  std::vector<DetSummary> summaries;
-  for (const int threads : counts) {
-    const trace::ParseResult log = trace::read_trace_file(
-        args.log_path, reader_options(args, threads), filter);
+  std::optional<DetSummary> baseline;
+  for (int execution = 1; execution <= args.det_check; ++execution) {
+    const trace::ParseResult log =
+        trace::read_trace_file(args.log_path, reader_options(args), filter);
     if (log.error && log.error->line_number == 0) {
       std::cerr << log.error->message << '\n';
       return kExitParseFailure;
@@ -251,47 +257,37 @@ int det_check(const Args& args, const core::ModelParseResult& model) {
       return kExitParseFailure;
     }
 
-    core::CharacterizationInput input;
-    input.model = &model.model.execution;
-    input.resources = &model.model.resources;
-    input.rules = &model.model.rules;
-    input.phase_events = log.log.phase_events;
-    input.blocking_events = log.log.blocking_events;
-    input.samples = log.log.samples;
-    input.config.timeslice = args.timeslice;
-    input.config.min_issue_impact = args.min_impact;
-    input.config.threads = threads;
-    input.trace_options.lenient = args.lenient;
-
-    core::CheckedCharacterization checked = core::characterize_checked(input);
+    core::CheckedCharacterization checked =
+        core::characterize_checked(characterization_input(args, model, log));
     if (!checked.status.ok() || !checked.result.has_value()) {
-      std::cerr << "characterization failed at " << threads
-                << " thread(s):\n";
+      std::cerr << "characterization failed in execution " << execution
+                << ":\n";
       for (const auto& error : checked.status.errors) {
         std::cerr << "  " << error << '\n';
       }
       return kExitAnalysisError;
     }
-    summaries.push_back(
-        core::fold_characterization(*checked.result, model.model.resources));
-  }
-
-  const DetSummary& baseline = summaries.front();
-  std::cout << "det-check: characterized at";
-  for (const int threads : counts) std::cout << ' ' << threads;
-  std::cout << " thread(s), " << baseline.phases.size() << " phase paths, "
-            << baseline.total_folds << " folds per characterization\n";
-  for (std::size_t i = 1; i < summaries.size(); ++i) {
-    const auto divergence = first_divergence(baseline, summaries[i]);
+    DetSummary summary =
+        core::fold_characterization(*checked.result, model.model.resources);
+    if (!baseline) {
+      baseline = std::move(summary);
+      continue;
+    }
+    const auto divergence = first_divergence(*baseline, summary);
     if (!divergence) continue;
-    std::cout << "det-check: DIVERGENCE at " << counts[i]
-              << " thread(s) vs 1: phase '" << divergence->path << "': "
+    std::cout << "det-check: DIVERGENCE in execution " << execution
+              << ": phase '" << divergence->path << "': "
               << divergence->detail << " (0x" << std::hex << divergence->lhs
               << " vs 0x" << divergence->rhs << std::dec << ")\n";
     return kExitAnalysisError;
   }
+
+  std::cout << "det-check: " << args.det_check << " executions of "
+            << args.log_path << ", " << baseline->phases.size()
+            << " phase paths, " << baseline->total_folds
+            << " folds per characterization\n";
   std::cout << "det-check: identical per-phase hashes, overall 0x"
-            << std::hex << baseline.overall << std::dec << '\n';
+            << std::hex << baseline->overall << std::dec << '\n';
   return kExitOk;
 }
 
@@ -315,7 +311,7 @@ int run(const Args& args) {
   if (args.det_check > 0) return det_check(args, model);
 
   const trace::ParseResult log = trace::read_trace_file(
-      args.log_path, reader_options(args, args.threads),
+      args.log_path, reader_options(args),
       build_filter(args, model.model.execution));
   if (log.error && log.error->line_number == 0) {
     // File-level failure: unreadable file, or a truncated / corrupt .g10t
@@ -373,19 +369,8 @@ int run(const Args& args) {
     }
   }
 
-  core::CharacterizationInput input;
-  input.model = &model.model.execution;
-  input.resources = &model.model.resources;
-  input.rules = &model.model.rules;
-  input.phase_events = log.log.phase_events;
-  input.blocking_events = log.log.blocking_events;
-  input.samples = log.log.samples;
-  input.config.timeslice = args.timeslice;
-  input.config.min_issue_impact = args.min_impact;
-  input.config.threads = args.threads;
-  input.trace_options.lenient = args.lenient;
-
-  core::CheckedCharacterization checked = core::characterize_checked(input);
+  core::CheckedCharacterization checked =
+      core::characterize_checked(characterization_input(args, model, log));
   if (!checked.status.ok() || !checked.result.has_value()) {
     std::cerr << "characterization failed:\n";
     for (const auto& error : checked.status.errors) {

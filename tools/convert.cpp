@@ -3,7 +3,7 @@
 //
 //   g10_convert --in <trace> --out <trace>
 //               [--to auto|text|binary] [--block-records N]
-//               [--verify] [--lenient] [--threads N]
+//               [--verify] [--lenient]
 //
 // The input format is sniffed from the file's bytes (the .g10t magic, not
 // the extension); --to auto converts to the opposite format. Converting
@@ -47,14 +47,13 @@ struct Args {
   std::size_t block_records = trace::kG10tDefaultBlockRecords;
   bool verify = false;
   bool lenient = false;
-  int threads = 0;
 };
 
 int usage() {
   std::cerr << "usage: g10_convert --in <trace> --out <trace>\n"
                "                   [--to auto|text|binary] "
                "[--block-records N]\n"
-               "                   [--verify] [--lenient] [--threads N]\n";
+               "                   [--verify] [--lenient]\n";
   return kExitBadArgs;
 }
 
@@ -90,10 +89,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
       const auto n = parse_int(value);
       if (!n || *n < 1) return std::nullopt;
       args.block_records = static_cast<std::size_t>(*n);
-    } else if (arg == "--threads") {
-      const auto n = parse_int(value);
-      if (!n || *n < 0) return std::nullopt;
-      args.threads = static_cast<int>(*n);
     } else {
       return std::nullopt;
     }
@@ -115,7 +110,6 @@ int run(const Args& args) {
   trace::TraceReadOptions read_options;
   read_options.format = trace::sniff_trace_format(args.in_path).format;
   read_options.recover = args.lenient;
-  read_options.threads = args.threads;
   const bool from_binary = read_options.format == trace::TraceFormat::kBinary;
 
   trace::ParseResult parsed =
@@ -193,10 +187,7 @@ int run(const Args& args) {
 
   // Round-trip verification: the written file, read back, must render to
   // the exact bytes the input's records render to.
-  trace::TraceReadOptions verify_options;
-  verify_options.threads = args.threads;
-  trace::ParseResult reread =
-      trace::read_trace_file(args.out_path, verify_options);
+  trace::ParseResult reread = trace::read_trace_file(args.out_path);
   if (!reread.ok()) {
     std::cerr << "verify: cannot re-read " << args.out_path << ": "
               << reread.error->message << '\n';

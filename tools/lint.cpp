@@ -2,7 +2,7 @@
 // characterization pipeline:
 //
 //   g10_lint --model <model.g10> [--log <run.log | run.g10t>]
-//            [--json] [--werror] [--threads N]
+//            [--json] [--werror]
 //   g10_lint --rules
 //
 // Checks the declarative model file (phase tree shape, sibling order
@@ -18,12 +18,10 @@
 // --werror), 2 = usage or I/O failure.
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 
-#include "common/strings.hpp"
 #include "grade10/lint/model_lint.hpp"
 #include "grade10/lint/preflight.hpp"
 #include "grade10/model/model_io.hpp"
@@ -38,12 +36,11 @@ struct Args {
   bool json = false;
   bool werror = false;
   bool list_rules = false;
-  int threads = 0;
 };
 
 int usage() {
   std::cerr << "usage: g10_lint --model <model.g10> [--log <run.log>]\n"
-               "                [--json] [--werror] [--threads N]\n"
+               "                [--json] [--werror]\n"
                "       g10_lint --rules\n";
   return 2;
 }
@@ -70,12 +67,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
       args.model_path = value;
     } else if (arg == "--log") {
       args.log_path = value;
-    } else if (arg == "--threads") {
-      const auto n = parse_int(value);
-      if (!n || *n < 0 || *n > std::numeric_limits<int>::max()) {
-        return std::nullopt;
-      }
-      args.threads = static_cast<int>(*n);
     } else {
       return std::nullopt;
     }
@@ -123,7 +114,6 @@ int run(const Args& args) {
       trace::TraceReadOptions options;
       options.format = trace::sniff_trace_format(args.log_path).format;
       options.recover = true;
-      options.threads = args.threads;
       const trace::ParseResult log =
           trace::read_trace_file(args.log_path, options);
       if (log.error && log.error->line_number == 0) {

@@ -57,6 +57,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -207,7 +208,9 @@ std::optional<Args> parse_args(int argc, char** argv) {
       args.batch_flush_us = *us;
     } else if (arg == "--det-check") {
       const auto n = parse_int(*v);
-      if (!n || *n < 2) return std::nullopt;
+      if (!n || *n < 2 || *n > std::numeric_limits<int>::max()) {
+        return std::nullopt;
+      }
       args.det_check = static_cast<int>(*n);
     } else if (arg == "--crash-log") {
       if (*v == "reconciled") {
