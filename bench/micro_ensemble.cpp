@@ -2,7 +2,7 @@
 //   - BM_JournalAppend: fsync'd JSONL appends (the crash-safety cost).
 //   - BM_SyntheticFleet/T: the driver's own overhead — expand, executor,
 //     journal, re-read, aggregate — with a near-free run function, at
-//     1/2/4/8 pool threads. items_per_second counts scenarios.
+//     1/2/4/8 ensemble threads. items_per_second counts scenarios.
 //   - BM_Grade10Fleet/T: the real engine+characterize runner on a small
 //     graph, i.e. what `g10_ensemble` actually sustains per scenario.
 // Results land in bench/results/BENCH_ensemble.json.

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 
 namespace g10 {
 
@@ -56,6 +57,15 @@ std::optional<std::int64_t> parse_int(std::string_view s) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return value;
+}
+
+bool parse_int_at_least(std::string_view s, int lo, int& out) {
+  const auto value = parse_int(s);
+  if (!value || *value < lo || *value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  out = static_cast<int>(*value);
+  return true;
 }
 
 std::optional<double> parse_double(std::string_view s) {

@@ -30,6 +30,11 @@ bool starts_with(std::string_view s, std::string_view prefix);
 std::optional<std::int64_t> parse_int(std::string_view s);
 std::optional<double> parse_double(std::string_view s);
 
+/// parse_int limited to [lo, INT_MAX], for count-like command-line flags:
+/// stores the value and returns true, or returns false and leaves `out`
+/// alone, so an out-of-range count is rejected instead of narrowed.
+bool parse_int_at_least(std::string_view s, int lo, int& out);
+
 /// Formats a double with fixed precision (reporting helper).
 std::string format_fixed(double value, int decimals);
 

@@ -1,10 +1,12 @@
 #include "ensemble/driver.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <system_error>
+#include <thread>
 #include <unordered_set>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 #include "ensemble/run_report.hpp"
 
 namespace g10::ensemble {
@@ -57,15 +59,10 @@ EnsembleOutcome run_ensemble(const ScenarioMatrix& matrix, const RunFn& fn,
 
   if (!pending.empty()) {
     JournalWriter writer(options.journal_path);
-    Watchdog watchdog;
-    const RunExecutor executor(fn, options.retry, &watchdog);
-    ThreadPool pool(options.threads);
+    const RunExecutor executor(fn, options.retry);
     std::atomic<std::size_t> journaled{0};
     std::atomic<std::size_t> cancelled{0};
-    // Grain 1: scenarios vary wildly in cost (fault recovery can multiply a
-    // run's length), so work stealing needs single-run granularity.
-    pool.parallel_for(pending.size(), 1, [&](std::size_t i) {
-      const Scenario& scenario = *pending[i];
+    const auto run_one = [&](const Scenario& scenario) {
       const bool stopping_before =
           options.stop != nullptr &&
           options.stop->load(std::memory_order_acquire);
@@ -93,7 +90,44 @@ EnsembleOutcome run_ensemble(const ScenarioMatrix& matrix, const RunFn& fn,
       writer.append(entry);
       journaled.fetch_add(1, std::memory_order_relaxed);
       if (options.on_run) options.on_run(entry);
-    });
+    };
+
+    // Every thread, the caller included, claims one scenario at a time
+    // from a shared cursor: scenarios vary wildly in cost (fault recovery
+    // can multiply a run's length), so single-run granularity balances the
+    // load. A throwing scenario does not stop the others; once all are
+    // drained, the exception of the lowest-indexed one is rethrown.
+    std::atomic<std::size_t> cursor{0};
+    std::vector<std::exception_ptr> errors(pending.size());
+    const auto drain = [&] {
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= pending.size()) return;
+        try {
+          run_one(*pending[i]);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+    };
+    std::size_t threads = options.threads;
+    if (threads == 0) {
+      threads = std::max(1u, std::thread::hardware_concurrency());
+    }
+    threads = std::min(threads, pending.size());
+    std::vector<std::thread> helpers;
+    helpers.reserve(threads - 1);
+    try {
+      while (helpers.size() + 1 < threads) helpers.emplace_back(drain);
+    } catch (const std::system_error&) {
+      // The OS refused another thread: the ones started so far (and the
+      // caller) drain the whole queue anyway.
+    }
+    drain();
+    for (std::thread& helper : helpers) helper.join();
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
     outcome.executed = journaled.load(std::memory_order_relaxed);
     outcome.remaining += cancelled.load(std::memory_order_relaxed);
   }

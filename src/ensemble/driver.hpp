@@ -1,7 +1,7 @@
-// The ensemble driver: expands a ScenarioMatrix, fans the pending runs
-// across a work-stealing ThreadPool through the robust RunExecutor, journals
-// every completed run, and aggregates the (re-read) journal into the
-// distributional report.
+// The ensemble driver: expands a ScenarioMatrix, runs the pending scenarios
+// on a few threads that claim them one at a time through the robust
+// RunExecutor, journals every completed run, and aggregates the (re-read)
+// journal into the distributional report.
 //
 // Resume semantics: the journal is the single source of truth. A fresh
 // start requires an absent/empty journal (refusing to silently mix fleets);
@@ -30,7 +30,8 @@ struct EnsembleOptions {
   /// Reuse existing journal entries and run only the missing scenarios.
   /// Without it, a non-empty journal is an error (refuses to mix fleets).
   bool resume = false;
-  /// Pool concurrency (0 = auto via ThreadPool::resolve_threads).
+  /// Threads running scenarios, the caller included (0 = one per hardware
+  /// thread). Never more than the number of pending scenarios.
   std::size_t threads = 0;
   /// Per-run deadline/retry policy for the RunExecutor.
   RetryPolicy retry;
@@ -56,11 +57,11 @@ struct EnsembleOptions {
   /// stays *missing* in the journal (resumable) instead of being journaled
   /// with a shutdown-tainted outcome.
   const std::atomic<bool>* stop = nullptr;
-  /// Invoked from the executing pool thread just before a scenario's first
+  /// Invoked from the executing thread just before a scenario's first
   /// attempt (the worker announces `start` on its status channel here).
   std::function<void(const Scenario&)> on_start;
   /// Progress callback, invoked after each journaled run (may be called
-  /// from pool threads; null disables).
+  /// from any ensemble thread; null disables).
   std::function<void(const JournalEntry&)> on_run;
 };
 
@@ -74,7 +75,9 @@ struct EnsembleOutcome {
 
 /// Runs (or resumes) the ensemble. Throws CheckError on an invalid matrix,
 /// an unwritable journal, or a fresh start over a non-empty journal;
-/// individual run failures never throw — they are journaled outcomes.
+/// individual run failures never throw — they are journaled outcomes. An
+/// exception from a callback or a journal append is rethrown after every
+/// pending scenario was attempted (the lowest-indexed one, if several).
 EnsembleOutcome run_ensemble(const ScenarioMatrix& matrix, const RunFn& fn,
                              const EnsembleOptions& options);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <thread>
 
 #include "common/check.hpp"
 
@@ -33,86 +34,6 @@ std::optional<RunOutcome> parse_outcome(std::string_view name) {
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog
-// ---------------------------------------------------------------------------
-
-Watchdog::Watchdog() : thread_([this] { loop(); }) {}
-
-Watchdog::~Watchdog() {
-  {
-    MutexLock lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-}
-
-Watchdog::Guard& Watchdog::Guard::operator=(Guard&& other) noexcept {
-  if (this != &other) {
-    disarm();
-    watchdog_ = other.watchdog_;
-    id_ = other.id_;
-    other.watchdog_ = nullptr;
-    other.id_ = 0;
-  }
-  return *this;
-}
-
-void Watchdog::Guard::disarm() {
-  if (watchdog_ != nullptr) {
-    watchdog_->remove(id_);
-    watchdog_ = nullptr;
-    id_ = 0;
-  }
-}
-
-Watchdog::Guard Watchdog::arm(std::shared_ptr<CancelToken> token,
-                              std::chrono::steady_clock::duration timeout) {
-  G10_CHECK(token != nullptr);
-  Guard guard;
-  guard.watchdog_ = this;
-  {
-    MutexLock lock(mutex_);
-    guard.id_ = next_id_++;
-    entries_[guard.id_] =
-        Entry{std::chrono::steady_clock::now() + timeout, std::move(token)};
-  }
-  cv_.notify_all();
-  return guard;
-}
-
-void Watchdog::remove(std::uint64_t id) {
-  MutexLock lock(mutex_);
-  entries_.erase(id);
-}
-
-void Watchdog::loop() {
-  MutexLock lock(mutex_);
-  while (!stop_) {
-    // Fire every expired deadline, then sleep until the next one (or until
-    // arm()/shutdown pokes the condition variable). Tokens are cancelled
-    // while the lock is held, so a disarmed entry is never fired: disarm
-    // removes it under the same mutex.
-    const auto now = std::chrono::steady_clock::now();
-    std::optional<std::chrono::steady_clock::time_point> next;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->second.deadline <= now) {
-        it->second.token->cancel();
-        it = entries_.erase(it);
-      } else {
-        if (!next || it->second.deadline < *next) next = it->second.deadline;
-        ++it;
-      }
-    }
-    if (next) {
-      cv_.wait_until(mutex_, *next);
-    } else {
-      cv_.wait(mutex_);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // RetryPolicy / RunExecutor
 // ---------------------------------------------------------------------------
 
@@ -140,11 +61,9 @@ double RetryPolicy::backoff_seconds(int next_attempt) const {
   return std::min(backoff, backoff_max_seconds);
 }
 
-RunExecutor::RunExecutor(RunFn fn, RetryPolicy policy, Watchdog* watchdog)
-    : fn_(std::move(fn)), policy_(policy), watchdog_(watchdog) {
+RunExecutor::RunExecutor(RunFn fn, RetryPolicy policy)
+    : fn_(std::move(fn)), policy_(policy) {
   G10_CHECK_MSG(policy_.max_attempts >= 1, "need at least one attempt");
-  G10_CHECK_MSG(policy_.deadline_seconds <= 0.0 || watchdog_ != nullptr,
-                "a per-run deadline needs a watchdog");
 }
 
 RunResult RunExecutor::execute(const Scenario& scenario,
@@ -158,21 +77,18 @@ RunResult RunExecutor::execute(const Scenario& scenario,
 
   const auto started = std::chrono::steady_clock::now();
   for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-    // A fresh token per attempt: a deadline that fired during attempt k
+    // A fresh token per attempt: a deadline that passed during attempt k
     // must not poison attempt k+1. The ensemble-wide stop flag is linked in
     // so a SIGTERM also cancels the in-flight attempt at its next poll.
-    auto token = std::make_shared<CancelToken>();
-    if (stop != nullptr) token->link(stop);
-    Watchdog::Guard guard;
+    std::optional<CancelToken::Deadline> deadline;
     if (policy_.deadline_seconds > 0.0) {
-      guard = watchdog_->arm(
-          token, std::chrono::duration_cast<
-                     std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(policy_.deadline_seconds)));
+      deadline = CancelToken::Clock::now() +
+                 std::chrono::duration<double>(policy_.deadline_seconds);
     }
+    const CancelToken token(stop, deadline);
     RunAttempt attempt_result;
     try {
-      attempt_result = fn_(scenario, *token);
+      attempt_result = fn_(scenario, token);
     } catch (const std::exception& e) {
       attempt_result.outcome = RunOutcome::kRunFailed;
       attempt_result.error = e.what();
@@ -184,8 +100,7 @@ RunResult RunExecutor::execute(const Scenario& scenario,
     // attempt's partial output is untrustworthy by definition. fired()
     // deliberately excludes a linked stop flag — a shutdown is not a
     // timeout, and the driver discards non-ok results once stop is raised.
-    const bool timed_out = token->fired();
-    guard.disarm();
+    const bool timed_out = token.fired();
 
     result.outcome =
         timed_out ? RunOutcome::kTimeout : attempt_result.outcome;

@@ -1,16 +1,17 @@
-// Robust run execution for the ensemble driver: a per-run deadline watchdog
-// with cooperative cancellation, outcome classification, and retries with
+// Robust run execution for the ensemble driver: a per-attempt deadline with
+// cooperative cancellation, outcome classification, and retries with
 // capped exponential backoff.
 //
 // The run function is a plain callable — the Grade10 engine+analyze runner
 // in production, a synthetic one in tests — that receives a CancelToken and
 // is expected to poll it at stage boundaries. Cancellation is cooperative:
-// the watchdog never kills a thread (that would corrupt shared state and
-// wedge the ThreadPool); it flips the token, and the executor classifies
-// the attempt as a timeout when the flag was raised, regardless of what the
-// run reported. A run that ignores its token still gets classified
-// correctly once it returns; only a run that never returns can hold its
-// pool slot, which is why every built-in runner stage polls.
+// nothing ever kills a thread (that would corrupt shared state); a poll
+// past the deadline tells the run to stop, and the executor classifies the
+// attempt as a timeout when the deadline passed before the run returned,
+// regardless of what the run reported. A run that ignores its token still
+// gets classified correctly once it returns; only a run that never returns
+// can hold its ensemble thread, which is why every built-in runner stage
+// polls.
 //
 // Outcome taxonomy (journaled, documented in DESIGN.md §12):
 //   ok              run + analysis completed
@@ -29,18 +30,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 #include "ensemble/run_report.hpp"
 #include "ensemble/scenario.hpp"
 
@@ -58,81 +52,40 @@ enum class RunOutcome {
 std::string_view outcome_name(RunOutcome outcome);
 std::optional<RunOutcome> parse_outcome(std::string_view name);
 
-/// Cooperative cancellation flag shared between a run and the watchdog.
-/// A token may additionally be linked to an external stop flag (a SIGTERM
-/// handler's, a worker's orphan detector's): cancelled() then reports both,
-/// so an in-flight run winds down at its next poll, while fired() keeps
-/// reporting only the watchdog's own deadline verdict — the executor must
-/// not classify a shutdown as a timeout.
+/// Cooperative cancellation for one attempt. The token carries the
+/// attempt's optional deadline and may be linked to an external stop flag
+/// (a SIGTERM handler's, a worker's orphan detector's): cancelled() reports
+/// both, so an in-flight run winds down at its next poll, while fired()
+/// reports only the deadline verdict — the executor must not classify a
+/// shutdown as a timeout. Each poll compares the clock with the deadline;
+/// no other thread is involved.
 class CancelToken {
  public:
-  void cancel() { cancelled_.store(true, std::memory_order_release); }
-  void link(const std::atomic<bool>* external) { external_ = external; }
+  using Clock = std::chrono::steady_clock;
+  /// Seconds as a double: now() plus any deadline a flag can express is
+  /// representable, where a huge one would overflow Clock's integer ticks.
+  using Deadline =
+      std::chrono::time_point<Clock, std::chrono::duration<double>>;
+
+  explicit CancelToken(const std::atomic<bool>* stop = nullptr,
+                       std::optional<Deadline> deadline = {})
+      : stop_(stop), deadline_(deadline) {}
+
   bool cancelled() const {
-    return fired() || (external_ != nullptr &&
-                       external_->load(std::memory_order_acquire));
+    return fired() ||
+           (stop_ != nullptr && stop_->load(std::memory_order_acquire));
   }
-  /// The watchdog deadline (or an explicit cancel()) fired — excludes the
-  /// linked external stop.
-  bool fired() const { return cancelled_.load(std::memory_order_acquire); }
+  /// The deadline has passed — excludes the linked external stop.
+  bool fired() const { return deadline_ && Clock::now() >= *deadline_; }
 
  private:
-  std::atomic<bool> cancelled_{false};
-  const std::atomic<bool>* external_ = nullptr;
-};
-
-/// One ensemble-wide deadline thread. arm() registers a token with an
-/// absolute deadline; if the deadline passes before the returned guard is
-/// disarmed, the token is cancelled. Guards disarm on destruction, so a
-/// throwing run function cannot leak an armed deadline.
-class Watchdog {
- public:
-  Watchdog();
-  ~Watchdog();
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  class Guard {
-   public:
-    Guard() = default;
-    Guard(Guard&& other) noexcept { *this = std::move(other); }
-    Guard& operator=(Guard&& other) noexcept;
-    ~Guard() { disarm(); }
-
-    /// Unregisters the deadline; idempotent. After disarm() returns the
-    /// watchdog will never touch the token again.
-    void disarm();
-
-   private:
-    friend class Watchdog;
-    Watchdog* watchdog_ = nullptr;
-    std::uint64_t id_ = 0;
-  };
-
-  Guard arm(std::shared_ptr<CancelToken> token,
-            std::chrono::steady_clock::duration timeout);
-
- private:
-  struct Entry {
-    std::chrono::steady_clock::time_point deadline;
-    std::shared_ptr<CancelToken> token;
-  };
-
-  void loop();
-  void remove(std::uint64_t id);
-
-  Mutex mutex_;
-  std::condition_variable_any cv_;
-  std::map<std::uint64_t, Entry> entries_ G10_GUARDED_BY(mutex_);
-  std::uint64_t next_id_ G10_GUARDED_BY(mutex_) = 1;
-  bool stop_ G10_GUARDED_BY(mutex_) = false;
-  std::thread thread_;
+  const std::atomic<bool>* stop_;
+  std::optional<Deadline> deadline_;
 };
 
 struct RetryPolicy {
   int max_attempts = 2;
-  /// Per-attempt deadline; <= 0 disables the watchdog.
+  /// Per-attempt deadline; <= 0 disables it.
   double deadline_seconds = 0.0;
   /// Capped exponential backoff between attempts.
   double backoff_initial_seconds = 0.05;
@@ -168,8 +121,7 @@ struct RunResult {
 
 class RunExecutor {
  public:
-  /// `watchdog` may be null when policy.deadline_seconds <= 0.
-  RunExecutor(RunFn fn, RetryPolicy policy, Watchdog* watchdog);
+  RunExecutor(RunFn fn, RetryPolicy policy);
 
   /// Runs the scenario to a final classified outcome. When `stop` is set
   /// before the first attempt the scenario is skipped; when it is raised
@@ -181,7 +133,6 @@ class RunExecutor {
  private:
   RunFn fn_;
   RetryPolicy policy_;
-  Watchdog* watchdog_;
 };
 
 }  // namespace g10::ensemble

@@ -56,8 +56,8 @@ std::string journal_line(const JournalEntry& entry);
 std::optional<JournalEntry> parse_journal_line(std::string_view line,
                                                std::string* error = nullptr);
 
-/// Append-only journal writer. Thread-safe: entries arrive from every pool
-/// worker as runs complete. Each append is one write(2) of the full line
+/// Append-only journal writer. Thread-safe: entries arrive from every
+/// ensemble thread as runs complete. Each append is one write(2) of the full line
 /// followed by fsync(2), so a crash can tear at most the final line.
 class JournalWriter {
  public:

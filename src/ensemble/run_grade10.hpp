@@ -1,10 +1,10 @@
 // The production RunFn: one Scenario → engine run → monitoring sampling →
 // Grade10 characterization → RunReport digest, all in-process (no g10_run
-// subprocess — the ensemble runs hundreds of these across the ThreadPool).
+// subprocess — the ensemble runs hundreds of these on its threads).
 //
 // The runner polls its CancelToken at stage boundaries (after graph
 // construction, the engine run, sampling, and characterization), so a run
-// whose deadline fires releases its pool slot at the next boundary instead
+// whose deadline passes releases its thread at the next boundary instead
 // of wedging the fleet. Graphs are cached per dataset spec and shared
 // across runs; SSSP re-weights a copy per seed.
 #pragma once

@@ -1,7 +1,7 @@
 // Process-isolated ensemble fan-out: the supervisor (DESIGN.md §15).
 //
 // `g10_ensemble --jobs N [--isolate]` runs the fleet under this loop
-// instead of the in-process ThreadPool. Pending scenarios are sharded
+// instead of on in-process threads. Pending scenarios are sharded
 // deterministically by canonical scenario hash (hash % jobs); each shard is
 // executed by a worker *process* (the same binary re-entered through the
 // hidden --worker-shard flag) that appends finished runs to the shared
@@ -10,7 +10,7 @@
 // supervisor never ships scenarios over IPC — a respawned worker re-reads
 // the journal and continues exactly where its predecessor died.
 //
-// What real process isolation buys over the in-process watchdog:
+// What real process isolation buys over the in-process deadline:
 //   - crash containment: a SIGSEGV/OOM-kill takes one worker, not the
 //     fleet; the supervisor charges the crash to the in-flight scenario
 //     (the last `start` without a `done`), re-queues it under capped

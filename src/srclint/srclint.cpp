@@ -12,7 +12,6 @@ constexpr std::string_view kUnorderedIter = "src-unordered-iter";
 constexpr std::string_view kRawEntropy = "src-raw-entropy";
 constexpr std::string_view kRawMutex = "src-raw-mutex";
 constexpr std::string_view kPointerKey = "src-pointer-key";
-constexpr std::string_view kFpParallelReduce = "src-fp-parallel-reduce";
 constexpr std::string_view kWaiverBare = "src-waiver-bare";
 constexpr std::string_view kWaiverUnknown = "src-waiver-unknown";
 constexpr std::string_view kWaiverUnused = "src-waiver-unused";
@@ -23,13 +22,12 @@ std::string_view waiver_tag(std::string_view rule_id) {
   if (rule_id == kRawEntropy) return "entropy";
   if (rule_id == kRawMutex) return "mutex";
   if (rule_id == kPointerKey) return "pointer-key";
-  if (rule_id == kFpParallelReduce) return "fp";
   return {};
 }
 
 bool known_tag(std::string_view tag) {
   return tag == "unordered" || tag == "entropy" || tag == "mutex" ||
-         tag == "pointer-key" || tag == "fp";
+         tag == "pointer-key";
 }
 
 struct Waiver {
@@ -119,7 +117,6 @@ class Scanner {
     scan_entropy();
     scan_raw_mutex();
     scan_pointer_keys();
-    scan_fp_parallel_reduce();
     finish_waivers();
     if (stats != nullptr) {
       ++stats->files;
@@ -206,7 +203,7 @@ class Scanner {
   }
 
   /// Records which identifiers this file declares with an unordered
-  /// container type, a float/double type, or a vector<float/double> type.
+  /// container type.
   /// Intra-file and flow-insensitive — exactly the precision a token-shape
   /// scanner can honestly claim — but it covers locals, members, and
   /// parameters, which is where every real finding lives.
@@ -232,39 +229,13 @@ class Scanner {
         if (text_at(j) == "<") j = skip_template_args(j);
         const std::string_view name = declared_name(j);
         if (!name.empty()) unordered_names_.push_back(name);
-      } else if (t == "double" || t == "float") {
-        const std::string_view name = declared_name(i + 1);
-        // A following '(' means a function declaration, not a variable.
-        if (!name.empty() && !next_is(i, name, "(")) {
-          fp_names_.push_back(name);
-        }
-      } else if (t == "vector" && text_at(i + 1) == "<" &&
-                 (is_ident(i + 2, "double") || is_ident(i + 2, "float"))) {
-        const std::size_t j = skip_template_args(i + 1);
-        const std::string_view name = declared_name(j);
-        if (!name.empty()) fp_names_.push_back(name);
       }
     }
-  }
-
-  /// True when the declared identifier `name` found after position i is
-  /// immediately followed by `punct` (helper for the function-decl filter).
-  bool next_is(std::size_t type_index, std::string_view name,
-               std::string_view punct) const {
-    for (std::size_t j = type_index + 1; j < tokens().size(); ++j) {
-      if (tokens()[j].text == name) return text_at(j + 1) == punct;
-    }
-    return false;
   }
 
   bool is_unordered_name(std::string_view name) const {
     return std::find(unordered_names_.begin(), unordered_names_.end(),
                      name) != unordered_names_.end();
-  }
-
-  bool is_fp_name(std::string_view name) const {
-    return std::find(fp_names_.begin(), fp_names_.end(), name) !=
-           fp_names_.end();
   }
 
   // D1: range-for over a variable declared as std::unordered_*.
@@ -383,41 +354,6 @@ class Scanner {
     }
   }
 
-  // D5: floating-point accumulation inside a parallel_for body.
-  void scan_fp_parallel_reduce() {
-    for (std::size_t i = 0; i + 1 < tokens().size(); ++i) {
-      if (!is_ident(i, "parallel_for") || text_at(i + 1) != "(") continue;
-      const std::size_t end = skip_parens(i + 1);
-      for (std::size_t j = i + 2; j + 1 < end; ++j) {
-        const std::string_view op = tokens()[j].text;
-        if (op != "+=" && op != "-=") continue;
-        // Resolve the accumulation target: the identifier directly before
-        // the operator, stepping back over a subscript if present.
-        std::size_t k = j;
-        if (k > 0 && text_at(k - 1) == "]") {
-          int depth = 0;
-          while (k > 0) {
-            --k;
-            if (text_at(k) == "]") ++depth;
-            if (text_at(k) == "[") {
-              if (--depth == 0) break;
-            }
-          }
-        }
-        if (k == 0 || tokens()[k - 1].kind != TokenKind::kIdentifier) {
-          continue;
-        }
-        const std::string_view target = text_at(k - 1);
-        if (!is_fp_name(target)) continue;
-        emit(kFpParallelReduce, tokens()[j].line, std::string(target),
-             "floating-point accumulation into '" + std::string(target) +
-                 "' inside a parallel_for body: summation order (and thus "
-                 "rounding) depends on the schedule; reduce into per-index "
-                 "slots and fold serially, or waive with fp-ok(<reason>)");
-      }
-    }
-  }
-
   /// Bare/unknown/unused waiver findings, after every rule has run.
   void finish_waivers() {
     for (const Waiver& waiver : waivers_) {
@@ -436,7 +372,7 @@ class Scanner {
                                    std::string(waiver.tag)},
                     "unknown waiver tag '" + std::string(waiver.tag) +
                         "-ok'; known tags: unordered, entropy, mutex, "
-                        "pointer-key, fp");
+                        "pointer-key");
       } else if (!waiver.used) {
         report_.add(std::string(kWaiverUnused), lint::Severity::kWarning,
                     lint::Location{path_, waiver.line,
@@ -453,7 +389,6 @@ class Scanner {
   LexedSource lexed_;
   std::vector<Waiver> waivers_;
   std::vector<std::string_view> unordered_names_;
-  std::vector<std::string_view> fp_names_;
   lint::LintReport report_;
   std::size_t suppressed_ = 0;
 };
@@ -467,9 +402,6 @@ lint::LintReport scan_source(std::string_view text, const std::string& path,
 
 const std::vector<lint::RuleInfo>& rule_catalog() {
   static const std::vector<lint::RuleInfo> kCatalog = {
-      {"src-fp-parallel-reduce", lint::Severity::kError,
-       "floating-point += / -= inside a parallel_for body; summation order "
-       "depends on the schedule, breaking bit-exact thread-count sweeps"},
       {"src-pointer-key", lint::Severity::kError,
        "pointer-typed key in std::map/std::set; iteration order follows "
        "allocation addresses, which differ across runs (ASLR)"},

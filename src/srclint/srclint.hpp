@@ -2,8 +2,8 @@
 // sources (DESIGN.md §14).
 //
 // Grade10's headline guarantee is bit-exact reproducibility: golden trace
-// fixtures, 1/2/8-thread identity sweeps, and byte-identical --resume
-// journals all pin it at runtime. Nothing, however, *statically* stops the
+// fixtures, --det-check digests, and byte-identical --resume reports all
+// pin it at runtime. Nothing, however, *statically* stops the
 // next change from introducing an unordered-container iteration that leaks
 // hash order into a report, a stray std::random_device, or an unannotated
 // std::mutex that Clang's thread-safety analysis cannot see. srclint is a
@@ -20,13 +20,11 @@
 //                              instead of the annotated g10::Mutex/MutexLock
 //   D4 src-pointer-key         pointer-typed key in std::map/std::set
 //                              (address-dependent ordering)
-//   D5 src-fp-parallel-reduce  float/double += inside a parallel_for body
-//                              (schedule-dependent rounding)
 //
 // A finding is waived with a reasoned comment on (or immediately above) the
 // offending line; the waiver must lead the comment (prose that merely
 // mentions the grammar is not a suppression). Tags: unordered, entropy,
-// mutex, pointer-key, fp. Example:
+// mutex, pointer-key. Example:
 //
 //   foo();  // srclint: unordered-ok(<reason>)
 //

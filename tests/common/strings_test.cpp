@@ -59,6 +59,24 @@ TEST(ParseIntTest, RejectsGarbage) {
   EXPECT_FALSE(parse_int("1.5").has_value());
 }
 
+TEST(ParseIntAtLeastTest, AcceptsOnlyLoThroughIntMax) {
+  int out = -5;
+  EXPECT_TRUE(parse_int_at_least("1", 1, out));
+  EXPECT_EQ(out, 1);
+  EXPECT_TRUE(parse_int_at_least("0", 0, out));
+  EXPECT_EQ(out, 0);
+  EXPECT_TRUE(parse_int_at_least("2147483647", 1, out));
+  EXPECT_EQ(out, 2147483647);
+  // Below lo, one past INT_MAX, values that used to wrap to small ints,
+  // and garbage are all rejected without touching `out`.
+  out = 7;
+  for (const char* bad : {"0", "-1", "2147483648", "4294967298",
+                          "4294967296", "4x"}) {
+    EXPECT_FALSE(parse_int_at_least(bad, 1, out)) << bad;
+  }
+  EXPECT_EQ(out, 7);
+}
+
 TEST(ParseDoubleTest, ValidInputs) {
   EXPECT_DOUBLE_EQ(parse_double("1.5").value(), 1.5);
   EXPECT_DOUBLE_EQ(parse_double("-2e3").value(), -2000.0);

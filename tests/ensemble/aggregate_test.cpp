@@ -168,7 +168,7 @@ TEST(AggregateTest, RenderingIsDeterministic) {
     replay.entries.push_back(std::move(entry));
   }
   const AggregateReport a = aggregate(scenarios, replay);
-  // Same entries in a different order (journal order varies with pool
+  // Same entries in a different order (journal order varies with thread
   // scheduling) -> byte-identical report.
   std::reverse(replay.entries.begin(), replay.entries.end());
   for (auto& entry : replay.entries) entry.wall_ms += 5.0;

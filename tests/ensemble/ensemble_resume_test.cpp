@@ -8,9 +8,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -298,6 +301,114 @@ TEST(EnsembleDriverTest, RaisedStopFlagLeavesTheFleetResumable) {
   const EnsembleOutcome ref =
       run_ensemble(test_matrix(), synthetic_run, reference);
   EXPECT_EQ(render_json(second.report), render_json(ref.report));
+}
+
+TEST(EnsembleDriverTest, MoreThreadsThanScenariosRendersTheSameReport) {
+  const TempDir dir("threads");
+  ScenarioMatrix m = test_matrix(3);
+  m.engines = {"gas"};  // 3 scenarios
+  EnsembleOptions serial;
+  serial.journal_path = dir.file("serial.jsonl");
+  serial.threads = 1;
+  const EnsembleOutcome one = run_ensemble(m, synthetic_run, serial);
+
+  EnsembleOptions wide;
+  wide.journal_path = dir.file("wide.jsonl");
+  wide.threads = 64;  // capped at the 3 pending scenarios
+  const EnsembleOutcome many = run_ensemble(m, synthetic_run, wide);
+  EXPECT_EQ(many.executed, 3u);
+  EXPECT_EQ(render_json(many.report), render_json(one.report));
+  EXPECT_EQ(render_text(many.report), render_text(one.report));
+}
+
+/// Blocks until the token is cancelled, bounded by a failsafe so a deadline
+/// that never fires fails the test instead of hanging it.
+void hang_until_cancelled(const CancelToken& token) {
+  const auto failsafe =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!token.cancelled()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), failsafe)
+        << "deadline never fired";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// A fleet of deliberately hung runs must drain: every deadline fires at a
+// poll, every thread is released, and each hung scenario is journaled as a
+// timeout after its retry.
+TEST(EnsembleDriverTest, HungFleetNeverWedgesTheEnsemble) {
+  const TempDir dir("hung");
+  EnsembleOptions options;
+  options.journal_path = dir.file("journal.jsonl");
+  options.threads = 4;
+  options.retry.max_attempts = 2;  // timeouts retried once
+  options.retry.deadline_seconds = 0.03;
+  options.retry.backoff_initial_seconds = 0.001;
+  std::atomic<int> hung_attempts{0};
+  const auto hang_even = [&](const Scenario& scenario,
+                             const CancelToken& token) -> RunAttempt {
+    if (scenario.seed % 2 == 0) {
+      ++hung_attempts;
+      hang_until_cancelled(token);
+      RunAttempt a;
+      a.outcome = RunOutcome::kRunFailed;
+      a.error = "hung";
+      return a;
+    }
+    return synthetic_run(scenario, token);
+  };
+  const EnsembleOutcome outcome =
+      run_ensemble(test_matrix(8), hang_even, options);
+  EXPECT_EQ(outcome.executed, 16u);
+  EXPECT_EQ(outcome.report.ok, 8u);
+  EXPECT_EQ(outcome.report.timeout, 8u);
+  EXPECT_EQ(hung_attempts.load(), 16);  // 2 attempts per hung scenario
+
+  const JournalReplay replay = read_journal(options.journal_path);
+  ASSERT_EQ(replay.entries.size(), 16u);
+  for (const JournalEntry& entry : replay.entries) {
+    if (entry.outcome == RunOutcome::kOk) continue;
+    EXPECT_EQ(entry.outcome, RunOutcome::kTimeout) << entry.scenario;
+    EXPECT_EQ(entry.attempts, 2) << entry.scenario;
+    EXPECT_EQ(entry.error, "deadline exceeded") << entry.scenario;
+  }
+}
+
+// A throwing callback is not a run outcome: run_ensemble rethrows it, but
+// only after the other threads drained the rest of the fleet, and when two
+// scenarios threw it picks the one earlier in the queue.
+TEST(EnsembleDriverTest, ThrowingCallbackIsRethrownAfterTheFleetDrains) {
+  const TempDir dir("throw");
+  const auto throws = [](const std::string& key) {
+    return key.find("engine=gas") != std::string::npos &&
+           (key.find("seed=5 ") != std::string::npos ||
+            key.find("seed=9 ") != std::string::npos);
+  };
+  std::string first_thrower;
+  for (const Scenario& s : test_matrix().expand()) {
+    if (throws(s.key())) {
+      first_thrower = s.key();
+      break;
+    }
+  }
+  ASSERT_FALSE(first_thrower.empty());
+
+  EnsembleOptions options;
+  options.journal_path = dir.file("journal.jsonl");
+  options.threads = 4;
+  std::atomic<std::size_t> seen{0};
+  options.on_run = [&](const JournalEntry& entry) {
+    seen.fetch_add(1, std::memory_order_relaxed);
+    if (throws(entry.scenario)) throw std::runtime_error(entry.scenario);
+  };
+  try {
+    run_ensemble(test_matrix(), synthetic_run, options);
+    FAIL() << "expected the callback's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), first_thrower);
+  }
+  EXPECT_EQ(seen.load(), 24u);
+  EXPECT_EQ(read_journal(options.journal_path).entries.size(), 24u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Watchdog + cancellation + retry coverage for the ensemble's robust run
+// Deadline + cancellation + retry coverage for the ensemble's robust run
 // executor. The hung-run scenarios use a cooperative spin that polls its
-// CancelToken — the production contract — so a fired deadline releases the
-// pool slot instead of wedging the fleet. Runs TSan-clean (registered with
+// CancelToken — the production contract — so a passed deadline releases
+// the thread instead of wedging the fleet. Runs TSan-clean (registered with
 // the sanitizer CI jobs).
 #include "ensemble/executor.hpp"
 
@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 
 namespace g10::ensemble {
 namespace {
@@ -33,12 +32,12 @@ RunAttempt ok_attempt(double makespan = 1.0) {
 }
 
 /// Blocks until the token fires (bounded by a generous failsafe so a broken
-/// watchdog fails the test instead of hanging it).
+/// deadline fails the test instead of hanging it).
 void hang_until_cancelled(const CancelToken& token) {
   const auto failsafe = std::chrono::steady_clock::now() + 30s;
   while (!token.cancelled()) {
     ASSERT_LT(std::chrono::steady_clock::now(), failsafe)
-        << "watchdog never fired";
+        << "deadline never fired";
     std::this_thread::sleep_for(1ms);
   }
 }
@@ -68,7 +67,7 @@ TEST(RetryPolicyTest, BackoffIsExponentialAndCapped) {
 TEST(RunExecutorTest, SuccessOnFirstAttempt) {
   const RunExecutor executor(
       [](const Scenario&, const CancelToken&) { return ok_attempt(2.5); },
-      RetryPolicy{}, nullptr);
+      RetryPolicy{});
   const RunResult result = executor.execute(test_scenario());
   EXPECT_EQ(result.outcome, RunOutcome::kOk);
   EXPECT_EQ(result.attempts, 1);
@@ -86,7 +85,7 @@ TEST(RunExecutorTest, ThrowingRunBecomesRunFailedAndIsRetried) {
         if (calls.fetch_add(1) < 2) throw std::runtime_error("flaky");
         return ok_attempt();
       },
-      policy, nullptr);
+      policy);
   const RunResult result = executor.execute(test_scenario());
   EXPECT_EQ(result.outcome, RunOutcome::kOk);
   EXPECT_EQ(result.attempts, 3);
@@ -101,7 +100,7 @@ TEST(RunExecutorTest, ExhaustedRetriesKeepTheLastFailure) {
       [](const Scenario&, const CancelToken&) -> RunAttempt {
         throw std::runtime_error("always broken");
       },
-      policy, nullptr);
+      policy);
   const RunResult result = executor.execute(test_scenario());
   EXPECT_EQ(result.outcome, RunOutcome::kRunFailed);
   EXPECT_EQ(result.attempts, 2);
@@ -118,7 +117,7 @@ TEST(RunExecutorTest, AnalysisFailureIsNotRetriedByDefault) {
         a.error = "bad trace";
         return a;
       },
-      RetryPolicy{}, nullptr);
+      RetryPolicy{});
   const RunResult result = executor.execute(test_scenario());
   EXPECT_EQ(result.outcome, RunOutcome::kAnalysisFailed);
   EXPECT_EQ(calls.load(), 1);
@@ -132,15 +131,30 @@ TEST(RunExecutorTest, StopFlagSkipsBeforeTheFirstAttempt) {
         ++calls;
         return ok_attempt();
       },
-      RetryPolicy{}, nullptr);
+      RetryPolicy{});
   const RunResult result = executor.execute(test_scenario(), &stop);
   EXPECT_EQ(result.outcome, RunOutcome::kSkipped);
   EXPECT_EQ(result.attempts, 0);
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(WatchdogTest, HungRunIsCancelledAndClassifiedTimeout) {
-  Watchdog watchdog;
+TEST(CancelTokenTest, StopFlagCancelsButIsNotATimeout) {
+  std::atomic<bool> stop{false};
+  const CancelToken token(&stop, CancelToken::Clock::now() + 1h);
+  EXPECT_FALSE(token.cancelled());
+  stop.store(true);
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_FALSE(token.fired());
+}
+
+TEST(CancelTokenTest, PassedDeadlineFires) {
+  const CancelToken token(nullptr, CancelToken::Clock::now() - 1ms);
+  EXPECT_TRUE(token.fired());
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_FALSE(CancelToken().cancelled());
+}
+
+TEST(DeadlineTest, HungRunIsCancelledAndClassifiedTimeout) {
   RetryPolicy policy;
   policy.deadline_seconds = 0.05;
   policy.retry_timeout = false;
@@ -151,7 +165,7 @@ TEST(WatchdogTest, HungRunIsCancelledAndClassifiedTimeout) {
         // verdict — even a claimed success.
         return ok_attempt();
       },
-      policy, &watchdog);
+      policy);
   const RunResult result = executor.execute(test_scenario());
   EXPECT_EQ(result.outcome, RunOutcome::kTimeout);
   EXPECT_EQ(result.attempts, 1);
@@ -160,8 +174,7 @@ TEST(WatchdogTest, HungRunIsCancelledAndClassifiedTimeout) {
   EXPECT_DOUBLE_EQ(result.report.makespan_seconds, 0.0);
 }
 
-TEST(WatchdogTest, TimeoutIsRetriedPerPolicyWithAFreshToken) {
-  Watchdog watchdog;
+TEST(DeadlineTest, TimeoutIsRetriedPerPolicyWithAFreshToken) {
   RetryPolicy policy;
   policy.max_attempts = 2;
   policy.deadline_seconds = 0.05;
@@ -178,15 +191,14 @@ TEST(WatchdogTest, TimeoutIsRetriedPerPolicyWithAFreshToken) {
         EXPECT_FALSE(token.cancelled());
         return ok_attempt(7.0);
       },
-      policy, &watchdog);
+      policy);
   const RunResult result = executor.execute(test_scenario());
   EXPECT_EQ(result.outcome, RunOutcome::kOk);
   EXPECT_EQ(result.attempts, 2);
   EXPECT_DOUBLE_EQ(result.report.makespan_seconds, 7.0);
 }
 
-TEST(WatchdogTest, FastRunIsNeverCancelled) {
-  Watchdog watchdog;
+TEST(DeadlineTest, FastRunIsNeverCancelled) {
   RetryPolicy policy;
   policy.deadline_seconds = 30.0;
   const RunExecutor executor(
@@ -194,115 +206,27 @@ TEST(WatchdogTest, FastRunIsNeverCancelled) {
         EXPECT_FALSE(token.cancelled());
         return ok_attempt();
       },
-      policy, &watchdog);
+      policy);
   for (int i = 0; i < 50; ++i) {
     const RunResult result = executor.execute(test_scenario(i));
     EXPECT_EQ(result.outcome, RunOutcome::kOk);
   }
 }
 
-TEST(WatchdogTest, DisarmedGuardNeverFires) {
-  Watchdog watchdog;
-  auto token = std::make_shared<CancelToken>();
-  {
-    Watchdog::Guard guard = watchdog.arm(token, 20ms);
-    guard.disarm();
-  }
-  std::this_thread::sleep_for(60ms);
-  EXPECT_FALSE(token->cancelled());
-}
-
-TEST(WatchdogTest, GuardDestructionDisarms) {
-  Watchdog watchdog;
-  auto token = std::make_shared<CancelToken>();
-  { const Watchdog::Guard guard = watchdog.arm(token, 20ms); }
-  std::this_thread::sleep_for(60ms);
-  EXPECT_FALSE(token->cancelled());
-}
-
-TEST(WatchdogTest, ManyConcurrentDeadlinesFireIndependently) {
-  Watchdog watchdog;
-  constexpr int kCount = 32;
-  std::vector<std::shared_ptr<CancelToken>> fire;
-  std::vector<std::shared_ptr<CancelToken>> hold;
-  std::vector<Watchdog::Guard> guards;
-  for (int i = 0; i < kCount; ++i) {
-    fire.push_back(std::make_shared<CancelToken>());
-    hold.push_back(std::make_shared<CancelToken>());
-    guards.push_back(watchdog.arm(fire.back(), 10ms));
-    guards.push_back(watchdog.arm(hold.back(), 1h));
-  }
-  const auto failsafe = std::chrono::steady_clock::now() + 30s;
-  for (const auto& token : fire) {
-    while (!token->cancelled()) {
-      ASSERT_LT(std::chrono::steady_clock::now(), failsafe);
-      std::this_thread::sleep_for(1ms);
-    }
-  }
-  for (const auto& token : hold) EXPECT_FALSE(token->cancelled());
-}
-
-// The ISSUE's wedge check: a fleet of deliberately-hung runs, fanned across
-// the shared ThreadPool exactly as the driver does it, must drain — every
-// deadline fires, every slot is released, and the pool finishes more work
-// afterwards.
-TEST(WatchdogTest, HungFleetNeverWedgesTheThreadPool) {
-  Watchdog watchdog;
+TEST(DeadlineTest, HugeDeadlineNeverFires) {
+  // 1e30 s does not fit steady_clock's integer nanoseconds; it must mean
+  // "never", not wrap into a deadline that has already passed.
   RetryPolicy policy;
-  policy.max_attempts = 2;  // timeouts retried once, per the default policy
-  policy.deadline_seconds = 0.03;
-  policy.backoff_initial_seconds = 0.001;
-  std::atomic<int> hung_attempts{0};
+  policy.deadline_seconds = 1e30;
   const RunExecutor executor(
-      [&](const Scenario& scenario, const CancelToken& token) -> RunAttempt {
-        if (scenario.seed % 2 == 0) {
-          ++hung_attempts;
-          hang_until_cancelled(token);
-          RunAttempt a;
-          a.outcome = RunOutcome::kRunFailed;
-          a.error = "hung";
-          return a;
-        }
+      [](const Scenario&, const CancelToken& token) {
+        EXPECT_FALSE(token.cancelled());
         return ok_attempt();
       },
-      policy, &watchdog);
-
-  ThreadPool pool(4);
-  constexpr std::size_t kRuns = 16;
-  std::vector<RunResult> results(kRuns);
-  pool.parallel_for(kRuns, 1, [&](std::size_t i) {
-    results[i] = executor.execute(test_scenario(i));
-  });
-
-  std::size_t ok = 0;
-  std::size_t timeout = 0;
-  for (std::size_t i = 0; i < kRuns; ++i) {
-    if (i % 2 == 0) {
-      EXPECT_EQ(results[i].outcome, RunOutcome::kTimeout) << i;
-      EXPECT_EQ(results[i].attempts, 2) << i;
-      ++timeout;
-    } else {
-      EXPECT_EQ(results[i].outcome, RunOutcome::kOk) << i;
-      ++ok;
-    }
-  }
-  EXPECT_EQ(ok, kRuns / 2);
-  EXPECT_EQ(timeout, kRuns / 2);
-  EXPECT_EQ(hung_attempts.load(), static_cast<int>(kRuns));  // 2 each
-
-  // The pool still works: the hung fleet released every slot.
-  std::atomic<std::size_t> after{0};
-  pool.parallel_for(100, 1, [&](std::size_t) { ++after; });
-  EXPECT_EQ(after.load(), 100u);
-}
-
-TEST(RunExecutorTest, DeadlineWithoutWatchdogIsRejected) {
-  RetryPolicy policy;
-  policy.deadline_seconds = 1.0;
-  EXPECT_THROW(RunExecutor([](const Scenario&, const CancelToken&)
-                               { return RunAttempt{}; },
-                           policy, nullptr),
-               CheckError);
+      policy);
+  const RunResult result = executor.execute(test_scenario());
+  EXPECT_EQ(result.outcome, RunOutcome::kOk);
+  EXPECT_EQ(result.attempts, 1);
 }
 
 }  // namespace

@@ -398,11 +398,35 @@ TEST(EnsembleExitCodeTest, BadJobsIsolateCombosAreBadArgs) {
   // --isolate only sandboxes worker processes; without --jobs there are
   // no workers to sandbox.
   EXPECT_EQ(exit_code(tiny_fleet(out) + " --isolate"), kExitBadArgs);
-  // --threads and --limit configure the in-process pool --jobs replaces.
+  // --threads and --limit configure the in-process mode --jobs replaces.
   EXPECT_EQ(exit_code(tiny_fleet(out) + " --jobs 2 --threads 2"),
             kExitBadArgs);
   EXPECT_EQ(exit_code(tiny_fleet(out) + " --jobs 2 --limit 1"),
             kExitBadArgs);
+}
+
+TEST(CountFlagExitCodeTest, ValuesAboveIntMaxAreBadArgs) {
+  // A narrowing cast used to run each of these: --workers 4294967298 as 2
+  // workers, --retry-max-attempts 4294967296 as 0 attempts, --seeds
+  // 4294967297 as one scenario. They are rejected while parsing arguments,
+  // so nothing runs and no output directory appears.
+  const std::string run_out = (test_root() / "count_run").string();
+  const std::string run = std::string(G10_RUN_BIN) +
+                          " --engine pregel --algorithm pagerank"
+                          " --dataset rmat:5 --out " + run_out;
+  EXPECT_EQ(exit_code(run + " --workers 4294967298"), kExitBadArgs);
+  EXPECT_EQ(exit_code(run + " --retry-max-attempts 4294967296"),
+            kExitBadArgs);
+  EXPECT_FALSE(std::filesystem::exists(run_out));
+
+  const std::string fleet_out = (test_root() / "count_fleet").string();
+  for (const char* flags :
+       {" --seeds 4294967297", " --max-attempts 4294967296",
+        " --jobs 2 --crash-budget 4294967296"}) {
+    EXPECT_EQ(exit_code(tiny_fleet(fleet_out) + flags), kExitBadArgs)
+        << flags;
+  }
+  EXPECT_FALSE(std::filesystem::exists(fleet_out));
 }
 
 TEST(EnsembleExitCodeTest, SegfaultingWorkerSurfacesRunFailedWithSignal) {

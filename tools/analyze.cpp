@@ -138,11 +138,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--chrome-trace") {
       args.chrome_trace_path = value;
     } else if (arg == "--det-check") {
-      const auto n = parse_int(value);
-      if (!n || *n < 2 || *n > std::numeric_limits<int>::max()) {
-        return std::nullopt;
-      }
-      args.det_check = static_cast<int>(*n);
+      if (!parse_int_at_least(value, 2, args.det_check)) return std::nullopt;
     } else if (arg == "--trace-format") {
       if (value == "auto") {
         args.trace_format = trace::TraceFormat::kAuto;

@@ -21,7 +21,8 @@
 // <out>/report.json and printed.
 //
 // Execution modes (DESIGN.md §15):
-//   default      in-process thread pool (--threads N)
+//   default      in-process: --threads N threads (default one per hardware
+//                thread) claim scenarios one at a time
 //   --jobs N     supervisor/worker: N worker *processes*, each running its
 //                deterministic shard (scenario hash % N) and appending to
 //                the shared journal under O_APPEND. A worker crash
@@ -264,7 +265,7 @@ int run_supervisor(const Args& args,
   options.jobs = args.jobs;
   options.resume = args.resume;
   options.heartbeat_timeout_s = args.hb_timeout_s;
-  // Default wedge ceiling: give the worker's own watchdog + retries room
+  // Default wedge ceiling: give the worker's own deadline + retries room
   // to classify a timeout cooperatively first; the supervisor's kill is
   // the backstop for runs that ignore their CancelToken.
   options.wedge_timeout_s =
@@ -439,13 +440,13 @@ int main(int argc, char** argv) {
       }
       args.matrix.dataset = v;
     } else if (arg == "--workers") {
-      args.matrix.workers = static_cast<int>(parse_int(v).value_or(0));
+      if (!parse_int_at_least(v, 1, args.matrix.workers)) return usage();
     } else if (arg == "--cores") {
-      args.matrix.cores = static_cast<int>(parse_int(v).value_or(0));
+      if (!parse_int_at_least(v, 1, args.matrix.cores)) return usage();
     } else if (arg == "--iterations") {
-      args.matrix.iterations = static_cast<int>(parse_int(v).value_or(0));
+      if (!parse_int_at_least(v, 1, args.matrix.iterations)) return usage();
     } else if (arg == "--seeds") {
-      args.seeds = static_cast<int>(parse_int(v).value_or(0));
+      if (!parse_int_at_least(v, 1, args.seeds)) return usage();
     } else if (arg == "--seed-base") {
       const auto base = parse_int(v);
       if (!base) return usage();
@@ -453,9 +454,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--faults") {
       if (const auto code = parse_faults_axis(v, args)) return *code;
     } else if (arg == "--sampled-faults") {
-      args.matrix.sampled_fault_specs =
-          static_cast<int>(parse_int(v).value_or(-1));
-      if (args.matrix.sampled_fault_specs < 0) return usage();
+      if (!parse_int_at_least(v, 0, args.matrix.sampled_fault_specs)) {
+        return usage();
+      }
     } else if (arg == "--jitter") {
       const auto f = parse_double(v);
       if (!f || *f < 0.0 || *f >= 1.0) return usage();
@@ -470,9 +471,7 @@ int main(int argc, char** argv) {
       if (!s || *s <= 0.0) return usage();
       args.retry.deadline_seconds = *s;
     } else if (arg == "--max-attempts") {
-      const auto n = parse_int(v);
-      if (!n || *n < 1) return usage();
-      args.retry.max_attempts = static_cast<int>(*n);
+      if (!parse_int_at_least(v, 1, args.retry.max_attempts)) return usage();
     } else if (arg == "--limit") {
       const auto n = parse_int(v);
       if (!n || *n < 1) return usage();
@@ -498,9 +497,7 @@ int main(int argc, char** argv) {
       if (!s || *s < 0.0) return usage();
       args.wedge_timeout_s = *s;
     } else if (arg == "--crash-budget") {
-      const auto n = parse_int(v);
-      if (!n || *n < 1) return usage();
-      args.crash_budget = static_cast<int>(*n);
+      if (!parse_int_at_least(v, 1, args.crash_budget)) return usage();
     } else if (arg == "--worker-shard") {
       const std::size_t colon = v.find(':');
       if (colon == std::string::npos) return usage();
@@ -513,9 +510,7 @@ int main(int argc, char** argv) {
       args.shard_index = static_cast<std::size_t>(*index);
       args.shard_count = static_cast<std::size_t>(*count);
     } else if (arg == "--status-fd") {
-      const auto fd = parse_int(v);
-      if (!fd || *fd < 0) return usage();
-      args.status_fd = static_cast<int>(*fd);
+      if (!parse_int_at_least(v, 0, args.status_fd)) return usage();
     } else if (arg == "--defer-key") {
       const auto key = ensemble::parse_key(v);
       if (!key) return usage();
@@ -524,12 +519,9 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (args.out.empty() || args.seeds <= 0 || args.matrix.workers <= 0 ||
-      args.matrix.cores <= 0 || args.matrix.iterations <= 0) {
-    return usage();
-  }
+  if (args.out.empty()) return usage();
   // Mode exclusions (exit 2): --isolate only sandboxes worker processes;
-  // --threads and --limit configure the in-process pool, which --jobs
+  // --threads and --limit configure the in-process mode, which --jobs
   // replaces; a worker cannot itself be a supervisor.
   if (args.isolate && args.jobs == 0) return usage();
   if (args.jobs > 0 && (args.threads_given || args.limit > 0)) return usage();

@@ -57,7 +57,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -171,11 +170,11 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--out") {
       args.out = *v;
     } else if (arg == "--workers") {
-      args.workers = static_cast<int>(parse_int(*v).value_or(0));
+      if (!parse_int_at_least(*v, 1, args.workers)) return std::nullopt;
     } else if (arg == "--cores") {
-      args.cores = static_cast<int>(parse_int(*v).value_or(0));
+      if (!parse_int_at_least(*v, 1, args.cores)) return std::nullopt;
     } else if (arg == "--iterations") {
-      args.iterations = static_cast<int>(parse_int(*v).value_or(0));
+      if (!parse_int_at_least(*v, 1, args.iterations)) return std::nullopt;
     } else if (arg == "--seed") {
       args.seed = static_cast<std::uint64_t>(parse_int(*v).value_or(2020));
     } else if (arg == "--monitor-ms") {
@@ -187,9 +186,9 @@ std::optional<Args> parse_args(int argc, char** argv) {
       if (!ms || *ms <= 0.0) return std::nullopt;
       args.retry_timeout_ms = *ms;
     } else if (arg == "--retry-max-attempts") {
-      const auto n = parse_int(*v);
-      if (!n || *n < 1) return std::nullopt;
-      args.retry_max_attempts = static_cast<int>(*n);
+      int n = 0;
+      if (!parse_int_at_least(*v, 1, n)) return std::nullopt;
+      args.retry_max_attempts = n;
     } else if (arg == "--heartbeat-ms") {
       const auto ms = parse_double(*v);
       if (!ms || *ms <= 0.0) return std::nullopt;
@@ -207,11 +206,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
       if (!us || *us <= 0.0) return std::nullopt;
       args.batch_flush_us = *us;
     } else if (arg == "--det-check") {
-      const auto n = parse_int(*v);
-      if (!n || *n < 2 || *n > std::numeric_limits<int>::max()) {
-        return std::nullopt;
-      }
-      args.det_check = static_cast<int>(*n);
+      if (!parse_int_at_least(*v, 2, args.det_check)) return std::nullopt;
     } else if (arg == "--crash-log") {
       if (*v == "reconciled") {
         args.crash_log = engine::CrashLogStyle::kReconciled;
@@ -226,9 +221,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else {
       return std::nullopt;
     }
-  }
-  if (args.workers <= 0 || args.cores <= 0 || args.iterations <= 0) {
-    return std::nullopt;
   }
   return args;
 }
