@@ -20,7 +20,7 @@ namespace {
 
 using namespace g10::core;
 
-trace::PhasePath path_of(const std::string& text) {
+trace::PathRef path_of(const std::string& text) {
   return *trace::parse_phase_path(text);
 }
 

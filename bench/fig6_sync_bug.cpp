@@ -42,8 +42,8 @@ std::vector<GatherGroup> collect_gather_groups(
     if (instance.type != thread_type) continue;
     // Path: Job.0/Execute.0/Iteration.i/GatherStep.0/WorkerGather.w/...
     const auto path = *trace::parse_phase_path(instance.path);
-    const int iteration = static_cast<int>(path.elements[2].index);
-    const int worker = static_cast<int>(path.elements[4].index);
+    const int iteration = static_cast<int>(path[2].index);
+    const int worker = static_cast<int>(path[4].index);
     auto& group = groups[{iteration, worker}];
     group.iteration = iteration;
     group.worker = worker;

@@ -70,8 +70,10 @@ core::CharacterizationResult run_pipeline(const CharacterizedRun& run,
   if (drop_gc_records) {
     // Untuned analysis: the analyst has not modeled GC, so GcPause phases
     // and blocking events are absent from the model's view of the run.
+    const trace::Symbol gc_pause =
+        trace::SymbolTable::global().intern("GcPause");
     for (const auto& event : run.artifacts.phase_events) {
-      if (event.path.leaf().type != "GcPause") {
+      if (event.path.leaf().type != gc_pause) {
         filtered_events.push_back(event);
       }
     }

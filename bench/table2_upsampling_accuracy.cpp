@@ -63,8 +63,10 @@ double upsampling_error(const EngineRun& run, int factor, Variant variant,
   std::span<const trace::BlockingEventRecord> block_span =
       run.artifacts.blocking_events;
   if (variant == Variant::kUntuned) {
+    const trace::Symbol gc_pause =
+        trace::SymbolTable::global().intern("GcPause");
     for (const auto& event : run.artifacts.phase_events) {
-      if (event.path.leaf().type != "GcPause") events.push_back(event);
+      if (event.path.leaf().type != gc_pause) events.push_back(event);
     }
     event_span = events;
     block_span = {};

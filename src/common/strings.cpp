@@ -1,6 +1,7 @@
 #include "common/strings.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -73,7 +74,10 @@ std::optional<double> parse_double(std::string_view s) {
   if (s.empty()) return std::nullopt;
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  if (ec != std::errc{} || ptr != s.data() + s.size() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 

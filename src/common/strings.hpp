@@ -27,6 +27,8 @@ std::string join(const std::vector<std::string>& parts,
 bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Strict integer / double parsing; nullopt on any trailing garbage.
+/// parse_double also rejects NaN and infinities: no flag, model or log
+/// field has a meaning for them.
 std::optional<std::int64_t> parse_int(std::string_view s);
 std::optional<double> parse_double(std::string_view s);
 

@@ -1,5 +1,7 @@
 #include "engine/phase_logger.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace g10::engine {
@@ -11,7 +13,7 @@ void PhaseLogger::begin(const trace::PathRef& path, TimeNs time,
   const auto [it, inserted] = open_.emplace(path, time);
   G10_CHECK_MSG(inserted, "phase already open: " << path.to_string());
   phase_events_.push_back(
-      InternedPhaseEvent{PhaseEventRecord::Kind::Begin, path, time, machine});
+      PhaseEventRecord{PhaseEventRecord::Kind::Begin, path, time, machine});
 }
 
 void PhaseLogger::end(const trace::PathRef& path, TimeNs time,
@@ -23,16 +25,15 @@ void PhaseLogger::end(const trace::PathRef& path, TimeNs time,
                 "phase " << path.to_string() << " ends before it begins");
   open_.erase(it);
   phase_events_.push_back(
-      InternedPhaseEvent{PhaseEventRecord::Kind::End, path, time, machine});
+      PhaseEventRecord{PhaseEventRecord::Kind::End, path, time, machine});
 }
 
 void PhaseLogger::block(std::string_view resource, const trace::PathRef& path,
                         TimeNs begin, TimeNs end, trace::MachineId machine) {
   G10_CHECK(end >= begin);
   if (end == begin) return;
-  blocking_events_.push_back(InternedBlockingEvent{
-      trace::SymbolTable::global().intern(resource), path, begin, end,
-      machine});
+  blocking_events_.push_back(trace::BlockingEventRecord{
+      std::string(resource), path, begin, end, machine});
 }
 
 bool PhaseLogger::abandon(const trace::PathRef& path) {
@@ -52,29 +53,11 @@ std::optional<TimeNs> PhaseLogger::open_begin(
 
 std::vector<trace::PhaseEventRecord> PhaseLogger::take_phase_events() {
   G10_CHECK_MSG(open_.empty(), "phases still open at end of run");
-  std::vector<trace::PhaseEventRecord> records;
-  records.reserve(phase_events_.size());
-  for (const InternedPhaseEvent& event : phase_events_) {
-    records.push_back(PhaseEventRecord{event.kind, event.path.to_phase_path(),
-                                       event.time, event.machine});
-  }
-  phase_events_.clear();
-  phase_events_.shrink_to_fit();
-  return records;
+  return std::exchange(phase_events_, {});
 }
 
 std::vector<trace::BlockingEventRecord> PhaseLogger::take_blocking_events() {
-  const trace::SymbolTable& table = trace::SymbolTable::global();
-  std::vector<trace::BlockingEventRecord> records;
-  records.reserve(blocking_events_.size());
-  for (const InternedBlockingEvent& event : blocking_events_) {
-    records.push_back(trace::BlockingEventRecord{
-        std::string(table.name(event.resource)), event.path.to_phase_path(),
-        event.begin, event.end, event.machine});
-  }
-  blocking_events_.clear();
-  blocking_events_.shrink_to_fit();
-  return records;
+  return std::exchange(blocking_events_, {});
 }
 
 }  // namespace g10::engine

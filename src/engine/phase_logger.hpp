@@ -5,10 +5,8 @@
 //
 // This is the hot edge of trace generation, so everything is interned: the
 // engines pass PathRef (inline (symbol, index) pairs with a precomputed
-// hash), open-phase tracking keys on that hash, and records are stored in
-// interned form. The string-typed PhaseEventRecord/BlockingEventRecord
-// forms are rendered exactly once, at take_*() time, in emission order —
-// which is what keeps logs byte-identical to the pre-interning ones.
+// hash), open-phase tracking keys on that hash, and the records themselves
+// carry the PathRef, so take_*() hands them over without a conversion.
 #pragma once
 
 #include <optional>
@@ -60,28 +58,14 @@ class PhaseLogger {
 
   std::size_t open_phase_count() const { return open_.size(); }
 
-  /// Renders and moves the accumulated records out; the logger must have no
-  /// open phases. Records appear in emission order.
+  /// Moves the accumulated records out; the logger must have no open
+  /// phases. Records appear in emission order.
   std::vector<trace::PhaseEventRecord> take_phase_events();
   std::vector<trace::BlockingEventRecord> take_blocking_events();
 
  private:
-  struct InternedPhaseEvent {
-    trace::PhaseEventRecord::Kind kind;
-    trace::PathRef path;
-    TimeNs time;
-    trace::MachineId machine;
-  };
-  struct InternedBlockingEvent {
-    trace::Symbol resource;
-    trace::PathRef path;
-    TimeNs begin;
-    TimeNs end;
-    trace::MachineId machine;
-  };
-
-  std::vector<InternedPhaseEvent> phase_events_;
-  std::vector<InternedBlockingEvent> blocking_events_;
+  std::vector<trace::PhaseEventRecord> phase_events_;
+  std::vector<trace::BlockingEventRecord> blocking_events_;
   std::unordered_map<trace::PathRef, TimeNs, trace::PathRefHash>
       open_;  // path -> begin time
 };

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,7 +19,7 @@ using trace::MachineId;
 
 /// One phase instance reassembled from its BEGIN/END events.
 struct Instance {
-  trace::PhasePath path;
+  std::string key;  ///< the rendered path, for findings and ordering
   bool has_begin = false;
   bool has_end = false;
   TimeNs begin = 0;
@@ -38,6 +39,7 @@ class TraceLinter {
 
   LintReport run() {
     collect_instances();
+    sort_instances();
     check_instances();
     check_sibling_overlap();
     check_blocking_events();
@@ -63,13 +65,12 @@ class TraceLinter {
 
   void collect_instances() {
     for (const trace::PhaseEventRecord& event : log_.phase_events) {
-      const std::string key = event.path.to_string();
-      auto [it, inserted] = instances_.try_emplace(key);
+      auto [it, inserted] = instances_.try_emplace(event.path);
       Instance& inst = it->second;
-      if (inserted) inst.path = event.path;
+      if (inserted) inst.key = event.path.to_string();
       if (event.kind == trace::PhaseEventRecord::Kind::Begin) {
         if (inst.has_begin) {
-          report_.add("trace-duplicate-begin", Severity::kError, at(key),
+          report_.add("trace-duplicate-begin", Severity::kError, at(inst.key),
                       "phase instance begins more than once");
           continue;
         }
@@ -78,7 +79,7 @@ class TraceLinter {
         inst.begin_machine = event.machine;
       } else {
         if (inst.has_end) {
-          report_.add("trace-duplicate-end", Severity::kError, at(key),
+          report_.add("trace-duplicate-end", Severity::kError, at(inst.key),
                       "phase instance ends more than once");
           continue;
         }
@@ -90,8 +91,22 @@ class TraceLinter {
     }
   }
 
+  /// Every check below reports instances in rendered-path order, so
+  /// findings do not depend on hash order.
+  void sort_instances() {
+    sorted_.reserve(instances_.size());
+    // srclint: unordered-ok(sorted by rendered path right below)
+    for (const auto& entry : instances_) sorted_.push_back(&entry);
+    std::sort(sorted_.begin(), sorted_.end(),
+              [](const InstanceEntry* a, const InstanceEntry* b) {
+                return a->second.key < b->second.key;
+              });
+  }
+
   void check_instances() {
-    for (const auto& [key, inst] : instances_) {
+    for (const InstanceEntry* entry : sorted_) {
+      const Instance& inst = entry->second;
+      const std::string& key = inst.key;
       if (inst.has_begin && !inst.has_end) {
         report_.add("trace-unbalanced-begin", Severity::kError, at(key),
                     "phase instance begins but never ends (truncated log?)");
@@ -112,21 +127,20 @@ class TraceLinter {
                         " but END reports machine " +
                         std::to_string(inst.end_machine));
       }
-      check_against_model(key, inst);
+      check_against_model(entry->first, inst);
     }
   }
 
-  void check_against_model(const std::string& key, const Instance& inst) {
-    const auto& elements = inst.path.elements;
-    if (elements.empty()) return;
-    const std::string& leaf_type = elements.back().type;
+  void check_against_model(const trace::PathRef& path, const Instance& inst) {
+    if (path.empty()) return;
+    const std::string leaf_type(symbols_.name(path.leaf().type));
     const core::PhaseTypeId type_id = model_.execution.find(leaf_type);
     if (type_id == core::kNoPhaseType) {
       add_once("trace-unknown-phase-type", Severity::kError, leaf_type,
                "phase type '" + leaf_type + "' is not in the model");
       return;
     }
-    if (elements.size() == 1) {
+    if (path.depth() == 1) {
       if (type_id != model_.execution.root()) {
         add_once("trace-hierarchy-mismatch", Severity::kError, leaf_type,
                  "phase type '" + leaf_type +
@@ -135,7 +149,8 @@ class TraceLinter {
       }
       return;
     }
-    const std::string& parent_type = elements[elements.size() - 2].type;
+    const std::string parent_type(
+        symbols_.name(path[path.depth() - 2].type));
     const core::PhaseTypeId parent_id = model_.execution.find(parent_type);
     if (parent_id != core::kNoPhaseType &&
         model_.execution.type(type_id).parent != parent_id) {
@@ -144,18 +159,18 @@ class TraceLinter {
                "the model does not declare '" + parent_type +
                    "' as the parent of '" + leaf_type + "'");
     }
-    const std::string parent_key = inst.path.parent().to_string();
-    const auto parent_it = instances_.find(parent_key);
+    const trace::PathRef parent_path = path.parent();
+    const auto parent_it = instances_.find(parent_path);
     if (parent_it == instances_.end()) {
-      add_once("trace-missing-parent", Severity::kError, key,
-               "parent instance '" + parent_key +
+      add_once("trace-missing-parent", Severity::kError, inst.key,
+               "parent instance '" + parent_path.to_string() +
                    "' never appears in the log");
       return;
     }
     const Instance& parent = parent_it->second;
     if (inst.complete() && parent.complete() &&
         (inst.begin < parent.begin || inst.end > parent.end)) {
-      report_.add("trace-child-escapes-parent", Severity::kError, at(key),
+      report_.add("trace-child-escapes-parent", Severity::kError, at(inst.key),
                   "instance runs [" + std::to_string(inst.begin) + ", " +
                       std::to_string(inst.end) +
                       ")ns, outside its parent's [" +
@@ -170,14 +185,15 @@ class TraceLinter {
     // (one worker per machine) are expected.
     std::map<std::pair<std::string, std::string>, std::vector<const Instance*>>
         groups;
-    for (const auto& [key, inst] : instances_) {
-      if (!inst.complete() || inst.path.elements.empty()) continue;
-      const std::string& type = inst.path.leaf().type;
+    for (const InstanceEntry* entry : sorted_) {
+      const auto& [path, inst] = *entry;
+      if (!inst.complete() || path.empty()) continue;
+      const std::string type(symbols_.name(path.leaf().type));
       const core::PhaseTypeId id = model_.execution.find(type);
       if (id == core::kNoPhaseType || !model_.execution.type(id).repeated) {
         continue;
       }
-      groups[{inst.path.parent().to_string(), type}].push_back(&inst);
+      groups[{path.parent().to_string(), type}].push_back(&inst);
     }
     for (auto& [group, members] : groups) {
       std::sort(members.begin(), members.end(),
@@ -190,9 +206,9 @@ class TraceLinter {
         if (next.begin < prev.end) {
           report_.add(
               "trace-overlapping-siblings", Severity::kError,
-              at(next.path.to_string()),
-              "repeated instance overlaps sibling '" +
-                  prev.path.to_string() + "' (begins at " +
+              at(next.key),
+              "repeated instance overlaps sibling '" + prev.key +
+                  "' (begins at " +
                   std::to_string(next.begin) + "ns, before its end at " +
                   std::to_string(prev.end) + "ns)");
         }
@@ -210,7 +226,6 @@ class TraceLinter {
 
   void check_blocking_events() {
     for (const trace::BlockingEventRecord& event : log_.blocking_events) {
-      const std::string key = event.path.to_string();
       const core::ResourceId resource = model_.resources.find(event.resource);
       if (resource == core::kNoResource) {
         add_once("trace-blocking-unknown-resource", Severity::kError,
@@ -226,8 +241,9 @@ class TraceLinter {
                      "blocking resources");
       }
       check_machine(event.machine, "a blocking event");
-      const auto it = instances_.find(key);
+      const auto it = instances_.find(event.path);
       if (it == instances_.end()) {
+        const std::string key = event.path.to_string();
         add_once("trace-blocking-unknown-phase", Severity::kError, key,
                  "blocking event names phase instance '" + key +
                      "', which never appears in the log");
@@ -236,7 +252,8 @@ class TraceLinter {
       const Instance& inst = it->second;
       if (inst.complete() &&
           (event.begin < inst.begin || event.end > inst.end)) {
-        report_.add("trace-blocking-outside-phase", Severity::kError, at(key),
+        report_.add("trace-blocking-outside-phase", Severity::kError,
+                    at(inst.key),
                     "blocking interval [" + std::to_string(event.begin) +
                         ", " + std::to_string(event.end) +
                         ")ns escapes the phase's [" +
@@ -347,7 +364,10 @@ class TraceLinter {
   TraceLintOptions options_;
   std::string file_;
   LintReport report_;
-  std::map<std::string, Instance> instances_;
+  const trace::SymbolTable& symbols_ = trace::SymbolTable::global();
+  std::unordered_map<trace::PathRef, Instance, trace::PathRefHash> instances_;
+  using InstanceEntry = std::pair<const trace::PathRef, Instance>;
+  std::vector<const InstanceEntry*> sorted_;  ///< by rendered path
   std::set<MachineId> machines_;
   std::set<std::string> reported_;
 };

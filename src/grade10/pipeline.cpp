@@ -29,11 +29,7 @@ CheckedCharacterization characterize_checked(
   }
   out.status.warnings = result.trace.warnings();
   try {
-    ResourceTrace::Options monitor_options;
-    monitor_options.ignore_unknown_resources =
-        input.trace_options.ignore_unknown_blocking;
-    result.monitored =
-        ResourceTrace::build(*input.resources, input.samples, monitor_options);
+    result.monitored = ResourceTrace::build(*input.resources, input.samples);
     result.demand =
         estimate_demand(*input.resources, *input.rules, result.trace, grid);
     result.usage = attribute_usage(result.demand, result.monitored, grid);

@@ -58,63 +58,63 @@ ExecutionTrace ExecutionTrace::build(
     }
   };
 
-  // Instances are found by path through by_path_; `ended` (by InstanceId)
-  // records which have seen their END. All three are sized for a
-  // well-formed log, where half the events are BEGINs.
+  // Instances are found by path through by_path_; `paths` (by InstanceId)
+  // points at the path of each instance's BEGIN event, and `ended` records
+  // which have seen their END. All are sized for a well-formed log, where
+  // half the events are BEGINs.
+  const trace::SymbolTable& symbols = trace::SymbolTable::global();
   trace.instances_.reserve(phase_events.size() / 2);
   trace.by_path_.reserve(phase_events.size() / 2);
+  std::vector<const trace::PathRef*> paths;
+  paths.reserve(phase_events.size() / 2);
   std::vector<char> ended;
   ended.reserve(phase_events.size() / 2);
 
-  // One render buffer reused across all events: END events (half the log)
-  // only probe the map and never need an owned key.
-  std::string key;
   for (const auto& event : phase_events) {
-    key.clear();
-    event.path.append_to(key);
     if (event.kind == trace::PhaseEventRecord::Kind::Begin) {
-      const PhaseTypeId type = model.find(event.path.leaf().type);
+      const std::string_view type_name = symbols.name(event.path.leaf().type);
+      const PhaseTypeId type = model.find(type_name);
       if (type == kNoPhaseType) {
-        if (options.ignore_unknown_phases) continue;
-        require_lenient("unknown phase type in log: " + event.path.leaf().type);
-        warn("skipped phase of unknown type: " + key);
+        require_lenient("unknown phase type in log: " +
+                        std::string(type_name));
+        warn("skipped phase of unknown type: " + event.path.to_string());
         continue;
       }
-      if (trace.by_path_.contains(key)) {
-        require_lenient("duplicate phase begin: " + key);
-        warn("skipped duplicate begin: " + key);
+      const auto id = static_cast<InstanceId>(trace.instances_.size());
+      if (!trace.by_path_.try_emplace(event.path, id).second) {
+        require_lenient("duplicate phase begin: " + event.path.to_string());
+        warn("skipped duplicate begin: " + event.path.to_string());
         continue;
       }
       PhaseInstance instance;
-      instance.id = static_cast<InstanceId>(trace.instances_.size());
+      instance.id = id;
       instance.type = type;
       instance.index = event.path.leaf().index;
       instance.begin = event.time;
       instance.end = -1;
       instance.machine = event.machine;
-      instance.path = key;
-      trace.by_path_.emplace(key, instance.id);
+      instance.path = event.path.to_string();
+      paths.push_back(&event.path);
       ended.push_back(0);
       trace.instances_.push_back(std::move(instance));
     } else {
-      const auto it = trace.by_path_.find(key);
+      const auto it = trace.by_path_.find(event.path);
       if (it == trace.by_path_.end()) {
-        if (options.ignore_unknown_phases) continue;
-        require_lenient("phase end without begin: " + key);
-        warn("skipped end without begin: " + key);
+        require_lenient("phase end without begin: " + event.path.to_string());
+        warn("skipped end without begin: " + event.path.to_string());
         continue;
       }
       const auto id = static_cast<std::size_t>(it->second);
+      auto& instance = trace.instances_[id];
       if (ended[id]) {
-        require_lenient("duplicate phase end: " + key);
-        warn("skipped duplicate end: " + key);
+        require_lenient("duplicate phase end: " + instance.path);
+        warn("skipped duplicate end: " + instance.path);
         continue;
       }
-      auto& instance = trace.instances_[id];
       if (event.time < instance.begin) {
         // Leave the instance open; the synthesis pass below repairs it.
-        require_lenient("phase " + key + " ends before it begins");
-        warn("skipped end before begin: " + key);
+        require_lenient("phase " + instance.path + " ends before it begins");
+        warn("skipped end before begin: " + instance.path);
         continue;
       }
       ended[id] = 1;
@@ -139,16 +139,14 @@ ExecutionTrace ExecutionTrace::build(
   // log. Temporal containment is checked after end synthesis.
   for (auto& instance : trace.instances_) {
     const PhaseType& type = model.type(instance.type);
-    const auto slash = instance.path.rfind('/');
-    if (slash == std::string::npos) {
+    const trace::PathRef& path = *paths[static_cast<std::size_t>(instance.id)];
+    if (path.depth() == 1) {
       G10_CHECK_MSG(instance.type == model.root(),
                     "non-root type at top level: " << instance.path);
       instance.parent = kNoInstance;
       continue;
     }
-    const std::string_view parent_path =
-        std::string_view(instance.path).substr(0, slash);
-    const auto it = trace.by_path_.find(parent_path);
+    const auto it = trace.by_path_.find(path.parent());
     G10_CHECK_MSG(it != trace.by_path_.end(),
                   "parent instance missing for " << instance.path);
     instance.parent = it->second;
@@ -167,26 +165,19 @@ ExecutionTrace ExecutionTrace::build(
     // (the crash time). Top-down afterwards: a truncated child of a
     // truncated parent is stretched to the parent's synthesized end, so a
     // whole abandoned subtree closes at one consistent instant.
-    std::unordered_map<std::string, TimeNs, PathHash, std::equal_to<>>
-        block_max;
+    std::unordered_map<trace::PathRef, TimeNs, trace::PathRefHash> block_max;
     for (const auto& event : blocking_events) {
-      key.clear();
-      event.path.append_to(key);
-      const auto bit = block_max.find(key);
-      if (bit == block_max.end()) {
-        block_max.emplace(key, event.end);
-      } else {
-        bit->second = std::max(bit->second, event.end);
-      }
+      const auto [bit, inserted] = block_max.try_emplace(event.path, event.end);
+      if (!inserted) bit->second = std::max(bit->second, event.end);
     }
-    const auto depth_of = [](const PhaseInstance& instance) {
-      return std::count(instance.path.begin(), instance.path.end(), '/');
+    const auto path_of = [&](InstanceId id) -> const trace::PathRef& {
+      return *paths[static_cast<std::size_t>(id)];
     };
     std::vector<InstanceId> by_depth = unended;
     std::sort(by_depth.begin(), by_depth.end(),
               [&](InstanceId a, InstanceId b) {
-                const auto da = depth_of(trace.instances_[a]);
-                const auto db = depth_of(trace.instances_[b]);
+                const std::size_t da = path_of(a).depth();
+                const std::size_t db = path_of(b).depth();
                 return da != db ? da > db : a < b;
               });
     for (const InstanceId id : by_depth) {
@@ -196,7 +187,7 @@ ExecutionTrace ExecutionTrace::build(
         const auto& c = trace.instances_[static_cast<std::size_t>(child)];
         if (c.end >= 0) end = std::max(end, c.end);
       }
-      const auto bit = block_max.find(instance.path);
+      const auto bit = block_max.find(path_of(id));
       if (bit != block_max.end()) end = std::max(end, bit->second);
       instance.end = end;
       instance.degraded = true;
@@ -250,10 +241,7 @@ ExecutionTrace ExecutionTrace::build(
   // Attach blocking events.
   for (const auto& event : blocking_events) {
     const ResourceId resource = resources.find(event.resource);
-    key.clear();
-    event.path.append_to(key);
     if (resource == kNoResource) {
-      if (options.ignore_unknown_blocking) continue;
       require_lenient("unknown blocking resource: " + event.resource);
       warn("skipped blocking event on unknown resource: " + event.resource);
       continue;
@@ -265,24 +253,26 @@ ExecutionTrace ExecutionTrace::build(
            event.resource);
       continue;
     }
-    const auto it = trace.by_path_.find(key);
+    const auto it = trace.by_path_.find(event.path);
     if (it == trace.by_path_.end()) {
-      if (options.ignore_unknown_phases) continue;
-      require_lenient("blocking event for unknown phase: " + key);
-      warn("skipped blocking event for unknown phase: " + key);
+      const std::string path = event.path.to_string();
+      require_lenient("blocking event for unknown phase: " + path);
+      warn("skipped blocking event for unknown phase: " + path);
       continue;
     }
     auto& instance = trace.instances_[static_cast<std::size_t>(it->second)];
     Interval interval{event.begin, event.end};
     if (interval.begin < instance.begin || interval.end > instance.end) {
-      require_lenient("blocking event escapes phase interval: " + key);
+      require_lenient("blocking event escapes phase interval: " +
+                      instance.path);
       interval.begin = std::max(interval.begin, instance.begin);
       interval.end = std::min(interval.end, instance.end);
       if (interval.empty()) {
-        warn("dropped blocking event outside phase interval: " + key);
+        warn("dropped blocking event outside phase interval: " +
+             instance.path);
         continue;
       }
-      warn("clamped blocking event into phase interval: " + key);
+      warn("clamped blocking event into phase interval: " + instance.path);
     }
     instance.blocked.push_back(interval);
     trace.blocking_.push_back(BlockingSpan{resource, it->second, interval});
@@ -317,8 +307,14 @@ const PhaseInstance& ExecutionTrace::instance(InstanceId id) const {
 }
 
 InstanceId ExecutionTrace::find(std::string_view path) const {
-  const auto it = by_path_.find(path);
-  return it == by_path_.end() ? kNoInstance : it->second;
+  const auto parsed = trace::parse_phase_path(path);
+  if (!parsed) return kNoInstance;
+  const auto it = by_path_.find(*parsed);
+  // The grammar also admits non-canonical spellings such as "Job.00".
+  if (it == by_path_.end() || instance(it->second).path != path) {
+    return kNoInstance;
+  }
+  return it->second;
 }
 
 std::size_t ExecutionTrace::degraded_count() const {

@@ -51,12 +51,6 @@ struct BlockingSpan {
 class ExecutionTrace {
  public:
   struct Options {
-    /// Drop blocking events whose resource is not in the resource model
-    /// (used to analyze a run against an untuned model, Table II).
-    bool ignore_unknown_blocking = false;
-    /// Drop phase instances whose type is not in the execution model
-    /// (an untuned model may not describe e.g. GcPause phases).
-    bool ignore_unknown_phases = false;
     /// Graceful degradation for damaged logs (crashed workers): instead of
     /// throwing, repair what can be repaired and record a warning. A phase
     /// with a BEGIN but no END (a crashed worker's log just stops) gets a
@@ -92,8 +86,7 @@ class ExecutionTrace {
 
   InstanceId root() const { return instances_.empty() ? kNoInstance : 0; }
 
-  /// Heterogeneous lookup: accepts string literals, std::string, and
-  /// string_view slices without materializing a temporary key.
+  /// The instance whose canonical path is exactly `path`, or kNoInstance.
   InstanceId find(std::string_view path) const;
 
   /// Latest phase end in the trace.
@@ -110,20 +103,10 @@ class ExecutionTrace {
   std::size_t degraded_count() const;
 
  private:
-  /// Transparent hash so path lookups take string_view keys (substrings of
-  /// instance paths, reused render buffers) without allocating.
-  struct PathHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   std::vector<PhaseInstance> instances_;
   std::vector<InstanceId> leaves_;
   std::vector<BlockingSpan> blocking_;
-  std::unordered_map<std::string, InstanceId, PathHash, std::equal_to<>>
-      by_path_;
+  std::unordered_map<trace::PathRef, InstanceId, trace::PathRefHash> by_path_;
   std::vector<trace::MachineId> machines_;
   std::vector<std::string> warnings_;
   TimeNs end_time_ = 0;

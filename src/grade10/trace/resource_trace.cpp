@@ -9,18 +9,14 @@ namespace g10::core {
 
 ResourceTrace ResourceTrace::build(
     const ResourceModel& model,
-    std::span<const trace::MonitoringSampleRecord> samples,
-    const Options& options) {
+    std::span<const trace::MonitoringSampleRecord> samples) {
   std::map<std::pair<ResourceId, trace::MachineId>,
            std::vector<const trace::MonitoringSampleRecord*>>
       groups;
   for (const auto& sample : samples) {
     const ResourceId resource = model.find(sample.resource);
-    if (resource == kNoResource) {
-      G10_CHECK_MSG(options.ignore_unknown_resources,
-                    "unknown monitored resource: " << sample.resource);
-      continue;
-    }
+    G10_CHECK_MSG(resource != kNoResource,
+                  "unknown monitored resource: " << sample.resource);
     G10_CHECK_MSG(
         model.resource(resource).kind == ResourceKind::kConsumable,
         "monitoring sample for blocking resource: " << sample.resource);

@@ -26,24 +26,12 @@ struct ResourceSeries {
 
 class ResourceTrace {
  public:
-  struct Options {
-    /// Drop samples whose resource is not in the model.
-    bool ignore_unknown_resources = false;
-  };
-
   /// Groups samples by (resource, machine) and derives each measurement's
-  /// window start from the previous sample (the first starts at 0).
+  /// window start from the previous sample (the first starts at 0). Throws
+  /// CheckError on a sample of a resource the model does not know.
   static ResourceTrace build(
       const ResourceModel& model,
-      std::span<const trace::MonitoringSampleRecord> samples,
-      const Options& options);
-
-  /// Convenience overload with default options.
-  static ResourceTrace build(
-      const ResourceModel& model,
-      std::span<const trace::MonitoringSampleRecord> samples) {
-    return build(model, samples, Options{});
-  }
+      std::span<const trace::MonitoringSampleRecord> samples);
 
   const std::vector<ResourceSeries>& series() const { return series_; }
   const ResourceSeries* find(ResourceId resource,

@@ -26,7 +26,7 @@ std::optional<FaultTime> parse_fault_time(std::string_view text) {
     text.remove_suffix(1);
   }
   const auto value = parse_double(text);
-  if (!value || *value < 0.0 || !std::isfinite(*value)) return std::nullopt;
+  if (!value || *value < 0.0) return std::nullopt;
   out.value = *value * scale;
   return out;
 }
@@ -188,7 +188,7 @@ bool parse_event(std::string_view text, FaultEvent* out, std::string* error) {
                                std::string(text) + "'");
       }
       const auto factor = parse_double(param.substr(1));
-      if (!factor || *factor <= 0.0 || !std::isfinite(*factor)) {
+      if (!factor || *factor <= 0.0) {
         return fail(error, "bad factor '" + std::string(param) +
                                "' in fault event '" + std::string(text) + "'");
       }

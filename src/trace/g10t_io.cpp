@@ -48,32 +48,30 @@ class FileSymbols {
 /// Per-block dictionary of distinct phase paths, in first-use order.
 class PathDict {
  public:
-  std::uint64_t intern(const PhasePath& path) {
-    key_.clear();
-    path.append_to(key_);
-    const auto it = index_.find(key_);
-    if (it != index_.end()) return it->second;
-    paths_.push_back(&path);
-    return index_.emplace(key_, paths_.size() - 1).first->second;
+  std::uint64_t intern(const PathRef& path) {
+    const auto [it, inserted] = index_.try_emplace(path, paths_.size());
+    if (inserted) paths_.push_back(&path);
+    return it->second;
   }
 
-  const std::vector<const PhasePath*>& paths() const { return paths_; }
+  const std::vector<const PathRef*>& paths() const { return paths_; }
 
  private:
-  std::string key_;
-  std::vector<const PhasePath*> paths_;
-  std::unordered_map<std::string, std::uint64_t> index_;
+  std::vector<const PathRef*> paths_;
+  std::unordered_map<PathRef, std::uint64_t, PathRefHash> index_;
 };
 
 void encode_path_dict(std::string& out, const PathDict& dict,
                       FileSymbols& symbols, std::uint64_t& bloom) {
+  const SymbolTable& table = SymbolTable::global();
   put_varint(out, dict.paths().size());
-  for (const PhasePath* path : dict.paths()) {
-    put_varint(out, path->elements.size());
-    for (const PathElement& element : path->elements) {
-      put_varint(out, symbols.intern(element.type));
-      put_zigzag(out, element.index);
-      bloom |= name_bloom_bit(element.type);
+  for (const PathRef* path : dict.paths()) {
+    put_varint(out, path->depth());
+    for (const PathEntry& entry : *path) {
+      const std::string_view type = table.name(entry.type);
+      put_varint(out, symbols.intern(type));
+      put_zigzag(out, entry.index);
+      bloom |= name_bloom_bit(type);
     }
   }
 }
@@ -221,7 +219,8 @@ void encode_stream(const std::vector<Record>& records,
 
 std::optional<std::string> decode_path_dict(
     ByteCursor& cursor, const std::vector<std::string>& symbols,
-    std::vector<PhasePath>& dict) {
+    std::vector<PathRef>& dict) {
+  SymbolTable& table = SymbolTable::global();
   std::uint64_t dict_count = 0;
   if (!cursor.read_varint(dict_count)) return "truncated path dictionary";
   if (dict_count > cursor.remaining()) return "path dictionary overruns block";
@@ -229,9 +228,9 @@ std::optional<std::string> decode_path_dict(
   for (std::uint64_t i = 0; i < dict_count; ++i) {
     std::uint64_t depth = 0;
     if (!cursor.read_varint(depth)) return "truncated path dictionary";
+    if (depth == 0) return "empty phase path";
     if (depth > cursor.remaining()) return "path depth overruns block";
-    PhasePath path;
-    path.elements.reserve(depth);
+    PathRef path;
     for (std::uint64_t d = 0; d < depth; ++d) {
       std::uint64_t symbol = 0;
       std::int64_t index = 0;
@@ -242,7 +241,7 @@ std::optional<std::string> decode_path_dict(
         return "path element references symbol " + std::to_string(symbol) +
                " of " + std::to_string(symbols.size());
       }
-      path.elements.push_back(PathElement{symbols[symbol], index});
+      path.push(table.intern(symbols[symbol]), index);
     }
     dict.push_back(std::move(path));
   }
@@ -252,7 +251,7 @@ std::optional<std::string> decode_path_dict(
 std::optional<std::string> decode_phase_block(
     ByteCursor& cursor, std::uint64_t count,
     const std::vector<std::string>& symbols, DecodedBlock& out) {
-  std::vector<PhasePath> dict;
+  std::vector<PathRef> dict;
   if (auto error = decode_path_dict(cursor, symbols, dict)) return error;
 
   out.phase_events.resize(count);
@@ -290,7 +289,7 @@ std::optional<std::string> decode_phase_block(
 std::optional<std::string> decode_blocking_block(
     ByteCursor& cursor, std::uint64_t count,
     const std::vector<std::string>& symbols, DecodedBlock& out) {
-  std::vector<PhasePath> dict;
+  std::vector<PathRef> dict;
   if (auto error = decode_path_dict(cursor, symbols, dict)) return error;
 
   out.blocking_events.resize(count);

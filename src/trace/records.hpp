@@ -10,7 +10,7 @@
 
 #include "common/step_function.hpp"
 #include "common/time.hpp"
-#include "trace/phase_path.hpp"
+#include "trace/symbol_table.hpp"
 
 namespace g10::trace {
 
@@ -23,7 +23,7 @@ inline constexpr MachineId kGlobalMachine = -1;
 struct PhaseEventRecord {
   enum class Kind { Begin, End };
   Kind kind = Kind::Begin;
-  PhasePath path;
+  PathRef path;
   TimeNs time = 0;
   MachineId machine = kGlobalMachine;
 };
@@ -31,7 +31,7 @@ struct PhaseEventRecord {
 /// A phase was blocked on a blocking resource for [begin, end).
 struct BlockingEventRecord {
   std::string resource;  ///< blocking-resource name, e.g. "GC"
-  PhasePath path;        ///< the blocked phase instance
+  PathRef path;          ///< the blocked phase instance
   TimeNs begin = 0;
   TimeNs end = 0;
   MachineId machine = kGlobalMachine;

@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "common/strings.hpp"
+
 namespace g10::trace {
 
 namespace {
@@ -83,17 +85,6 @@ PathRef PathRef::parent() const {
   return result;
 }
 
-PhasePath PathRef::to_phase_path() const {
-  const SymbolTable& table = SymbolTable::global();
-  PhasePath path;
-  path.elements.reserve(size_);
-  for (const PathEntry& entry : *this) {
-    path.elements.push_back(
-        PathElement{std::string(table.name(entry.type)), entry.index});
-  }
-  return path;
-}
-
 std::string PathRef::to_string() const {
   std::string out;
   append_to(out);
@@ -110,13 +101,21 @@ void PathRef::append_to(std::string& out) const {
   }
 }
 
-PathRef PathRef::from_phase_path(const PhasePath& path) {
+std::optional<PathRef> parse_phase_path(std::string_view text) {
+  if (text.empty()) return std::nullopt;
   SymbolTable& table = SymbolTable::global();
-  PathRef result;
-  for (const PathElement& element : path.elements) {
-    result.push(table.intern(element.type), element.index);
+  PathRef path;
+  while (true) {
+    const std::size_t slash = text.find('/');
+    const std::string_view part = text.substr(0, slash);
+    const std::size_t dot = part.rfind('.');
+    if (dot == std::string_view::npos || dot == 0) return std::nullopt;
+    const auto index = parse_int(part.substr(dot + 1));
+    if (!index || *index < 0) return std::nullopt;
+    path.push(table.intern(part.substr(0, dot)), *index);
+    if (slash == std::string_view::npos) return path;
+    text.remove_prefix(slash + 1);
   }
-  return result;
 }
 
 }  // namespace g10::trace

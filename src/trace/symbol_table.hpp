@@ -1,14 +1,15 @@
-// Interned names and compact phase paths for the trace-generation fast path.
+// Interned names and phase-instance paths.
 //
-// Engines emit millions of hierarchical phase paths like
+// A running workload is a tree of phase instances; each instance is named by
+// the path of (phase-type, instance-index) pairs from the root, e.g.
 //   Job.0/Execute.0/Superstep.3/WorkerCompute.2/ComputeThread.5
-// Building a PhasePath allocates one std::string per element and keying a
-// map by its rendered form allocates the full string again. The fast path
-// replaces both: phase-type and resource names are interned once in a
-// process-wide SymbolTable, and paths travel as PathRef — an inline
-// small-vector of (symbol, index) pairs carrying an incrementally
-// maintained hash — converting to/from the PhasePath/string form only at
-// the log-write and parse boundaries.
+// Engines emit millions of these and the analysis keys every record on one,
+// so phase-type names are interned once in a process-wide SymbolTable and a
+// path travels as a PathRef: an inline small-vector of (symbol, index)
+// pairs carrying an incrementally maintained hash. Records, the `.g10t`
+// path dictionaries and the analysis maps all hold PathRefs; the text form
+// appears only where a path is written or shown (log lines, messages,
+// PhaseInstance::path).
 //
 // Symbols are process-local handles: their numeric values depend on intern
 // order and must never be persisted. Rendered output always goes through
@@ -19,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -27,7 +29,6 @@
 #include "common/check.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "trace/phase_path.hpp"
 
 namespace g10::trace {
 
@@ -35,9 +36,10 @@ namespace g10::trace {
 /// owning SymbolTable (in practice, SymbolTable::global()).
 using Symbol = std::uint32_t;
 
-/// Thread-safe append-only intern table. Interning is mutex-protected (log
-/// ingestion is multi-threaded); the returned string_views stay valid for
-/// the table's lifetime because names live in a deque.
+/// Thread-safe append-only intern table. Interning is mutex-protected
+/// because the in-process ensemble runs scenarios on several threads, all
+/// interning into the global table; the returned string_views stay valid
+/// for the table's lifetime because names live in a deque.
 class SymbolTable {
  public:
   /// The process-wide table used by PathRef and the engines.
@@ -120,11 +122,9 @@ class PathRef {
     return true;
   }
 
-  /// Lossless conversions at the log-write / parse boundary.
-  PhasePath to_phase_path() const;
+  /// The text form "Type.idx/Type.idx/..."; parse_phase_path inverts it.
   std::string to_string() const;
   void append_to(std::string& out) const;
-  static PathRef from_phase_path(const PhasePath& path);
 
  private:
   const PathEntry* data() const {
@@ -142,5 +142,10 @@ class PathRef {
 struct PathRefHash {
   std::size_t operator()(const PathRef& path) const { return path.hash(); }
 };
+
+/// Parses "Type.idx/Type.idx/..." into a path interned in the global table:
+/// each element is a non-empty (possibly dotted) type name, a dot, and a
+/// non-negative index. nullopt on malformed input.
+std::optional<PathRef> parse_phase_path(std::string_view text);
 
 }  // namespace g10::trace

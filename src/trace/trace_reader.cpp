@@ -10,45 +10,6 @@
 
 namespace g10::trace {
 
-bool TraceFilter::matches_machine(MachineId machine) const {
-  if (machines.empty() || machine == kGlobalMachine) return true;
-  return std::find(machines.begin(), machines.end(), machine) !=
-         machines.end();
-}
-
-bool TraceFilter::matches_path(const PhasePath& path) const {
-  if (phase_types.empty()) return true;
-  for (const PathElement& element : path.elements) {
-    for (const std::string& type : phase_types) {
-      if (element.type == type) return true;
-    }
-  }
-  // The enclosing chain: only the innermost element may be an ancestor
-  // type, otherwise sibling subtrees under a shared ancestor would leak in.
-  if (!path.elements.empty()) {
-    const std::string& last = path.elements.back().type;
-    for (const std::string& type : ancestor_types) {
-      if (last == type) return true;
-    }
-  }
-  return false;
-}
-
-bool TraceFilter::matches(const PhaseEventRecord& rec) const {
-  return rec.time >= time_min && rec.time <= time_max &&
-         matches_machine(rec.machine) && matches_path(rec.path);
-}
-
-bool TraceFilter::matches(const BlockingEventRecord& rec) const {
-  return rec.end >= time_min && rec.begin <= time_max &&
-         matches_machine(rec.machine) && matches_path(rec.path);
-}
-
-bool TraceFilter::matches(const MonitoringSampleRecord& rec) const {
-  return rec.time >= time_min && rec.time <= time_max &&
-         matches_machine(rec.machine);
-}
-
 SniffResult sniff_trace_format(const std::string& path) {
   SniffResult out;
   std::ifstream file(path, std::ios::binary);
@@ -67,7 +28,66 @@ SniffResult sniff_trace_format(const std::string& path) {
 
 namespace {
 
-void filter_log(const TraceFilter& filter, ParsedLog& log) {
+/// A TraceFilter with its type names interned once, so that path checks
+/// compare symbols.
+class RecordFilter {
+ public:
+  explicit RecordFilter(const TraceFilter& filter) : filter_(filter) {
+    SymbolTable& table = SymbolTable::global();
+    for (const std::string& type : filter.phase_types) {
+      phase_types_.push_back(table.intern(type));
+    }
+    for (const std::string& type : filter.ancestor_types) {
+      ancestor_types_.push_back(table.intern(type));
+    }
+  }
+
+  bool empty() const { return filter_.empty(); }
+
+  bool matches(const PhaseEventRecord& rec) const {
+    return rec.time >= filter_.time_min && rec.time <= filter_.time_max &&
+           matches_machine(rec.machine) && matches_path(rec.path);
+  }
+
+  bool matches(const BlockingEventRecord& rec) const {
+    return rec.end >= filter_.time_min && rec.begin <= filter_.time_max &&
+           matches_machine(rec.machine) && matches_path(rec.path);
+  }
+
+  bool matches(const MonitoringSampleRecord& rec) const {
+    return rec.time >= filter_.time_min && rec.time <= filter_.time_max &&
+           matches_machine(rec.machine);
+  }
+
+ private:
+  static bool contains(const std::vector<Symbol>& types, Symbol type) {
+    return std::find(types.begin(), types.end(), type) != types.end();
+  }
+
+  bool matches_machine(MachineId machine) const {
+    const std::vector<MachineId>& machines = filter_.machines;
+    if (machines.empty() || machine == kGlobalMachine) return true;
+    return std::find(machines.begin(), machines.end(), machine) !=
+           machines.end();
+  }
+
+  bool matches_path(const PathRef& path) const {
+    if (phase_types_.empty()) return true;
+    for (const PathEntry& entry : path) {
+      if (contains(phase_types_, entry.type)) return true;
+    }
+    // The enclosing chain: only the innermost element may be an ancestor
+    // type, otherwise sibling subtrees under a shared ancestor would leak
+    // in.
+    return !path.empty() && contains(ancestor_types_, path.leaf().type);
+  }
+
+  const TraceFilter& filter_;
+  std::vector<Symbol> phase_types_;
+  std::vector<Symbol> ancestor_types_;
+};
+
+void filter_log(const RecordFilter& filter, ParsedLog& log) {
   if (filter.empty()) return;
   std::erase_if(log.phase_events, [&](const PhaseEventRecord& rec) {
     return !filter.matches(rec);
@@ -81,7 +101,7 @@ void filter_log(const TraceFilter& filter, ParsedLog& log) {
 }
 
 ParseResult read_text(const MappedFile& file, const TraceReadOptions& options,
-                      const TraceFilter& filter) {
+                      const RecordFilter& filter) {
   ParseOptions parse_options;
   parse_options.recover = options.recover;
   parse_options.max_errors = options.max_errors;
@@ -146,7 +166,7 @@ DecodeOutcome decode_one(const MappedFile& file,
 }
 
 template <typename Record>
-void append(const TraceFilter& filter, std::vector<Record>& from,
+void append(const RecordFilter& filter, std::vector<Record>& from,
             std::vector<Record>& to) {
   if (filter.empty()) {
     to.insert(to.end(), std::make_move_iterator(from.begin()),
@@ -161,6 +181,7 @@ void append(const TraceFilter& filter, std::vector<Record>& from,
 ParseResult read_binary(const MappedFile& file, const G10tStructure& structure,
                         const TraceReadOptions& options,
                         const TraceFilter& filter) {
+  const RecordFilter record_filter(filter);
   ParseResult result;
   result.log.meta = structure.meta;
 
@@ -217,9 +238,9 @@ ParseResult read_binary(const MappedFile& file, const G10tStructure& structure,
     }
 
     DecodedBlock& block = outcome.block;
-    append(filter, block.phase_events, result.log.phase_events);
-    append(filter, block.blocking_events, result.log.blocking_events);
-    append(filter, block.samples, result.log.samples);
+    append(record_filter, block.phase_events, result.log.phase_events);
+    append(record_filter, block.blocking_events, result.log.blocking_events);
+    append(record_filter, block.samples, result.log.samples);
   }
   return result;
 }
@@ -250,7 +271,9 @@ ParseResult read_trace_file(const std::string& path,
     format = looks_like_g10t(file.bytes()) ? TraceFormat::kBinary
                                            : TraceFormat::kText;
   }
-  if (format == TraceFormat::kText) return read_text(file, options, filter);
+  if (format == TraceFormat::kText) {
+    return read_text(file, options, RecordFilter(filter));
+  }
 
   G10tStructureParse structure = parse_g10t_structure(file.bytes());
   if (!structure.ok()) {

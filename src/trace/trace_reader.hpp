@@ -79,11 +79,6 @@ struct TraceFilter {
            time_max == std::numeric_limits<TimeNs>::max();
   }
 
-  bool matches_machine(MachineId machine) const;
-  bool matches_path(const PhasePath& path) const;
-  bool matches(const PhaseEventRecord& rec) const;
-  bool matches(const BlockingEventRecord& rec) const;
-  bool matches(const MonitoringSampleRecord& rec) const;
 };
 
 struct TraceReadOptions {

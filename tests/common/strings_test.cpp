@@ -88,6 +88,18 @@ TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(parse_double("1.5abc").has_value());
 }
 
+TEST(ParseDoubleTest, RejectsNanAndInfinities) {
+  for (const char* text : {"nan", "NaN", "-nan", "nan(0x1)", "inf", "-inf",
+                           "INF", "infinity", "-Infinity", " inf "}) {
+    EXPECT_FALSE(parse_double(text).has_value()) << text;
+  }
+  // Overflowing literals were already rejected; the largest finite and the
+  // smallest subnormal values still parse.
+  EXPECT_FALSE(parse_double("1e400").has_value());
+  EXPECT_TRUE(parse_double("1.7976931348623157e308").has_value());
+  EXPECT_TRUE(parse_double("5e-324").has_value());
+}
+
 TEST(FormatTest, FixedAndPercent) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(-1.0, 0), "-1");

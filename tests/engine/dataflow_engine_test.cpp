@@ -32,11 +32,12 @@ TEST(DataflowEngineTest, RunsAllStagesAndTasks) {
   const DataflowEngine engine(small_config());
   const auto result = engine.run(three_stage_job());
   EXPECT_GT(result.makespan, 0);
+  const trace::Symbol task = trace::SymbolTable::global().intern("Task");
   std::map<int, int> tasks_per_stage;
   for (const auto& event : result.phase_events) {
     if (event.kind != trace::PhaseEventRecord::Kind::Begin) continue;
-    if (event.path.leaf().type != "Task") continue;
-    ++tasks_per_stage[static_cast<int>(event.path.elements[1].index)];
+    if (event.path.leaf().type != task) continue;
+    ++tasks_per_stage[static_cast<int>(event.path[1].index)];
   }
   EXPECT_EQ(tasks_per_stage[0], 24);
   EXPECT_EQ(tasks_per_stage[1], 12);
@@ -82,9 +83,9 @@ TEST(DataflowEngineTest, SkewedStageHasStragglers) {
   DurationNs min_task = 1'000'000'000;
   DurationNs max_task = 0;
   std::map<std::string, TimeNs> begins;
+  const trace::Symbol task = trace::SymbolTable::global().intern("Task");
   for (const auto& event : result.phase_events) {
-    if (event.path.leaf().type != "Task" ||
-        event.path.elements[1].index != 1) {
+    if (event.path.leaf().type != task || event.path[1].index != 1) {
       continue;
     }
     if (event.kind == trace::PhaseEventRecord::Kind::Begin) {

@@ -214,11 +214,13 @@ TEST(GasEngineTest, BfsTerminatesEarlyOnConvergence) {
   const auto g = small_graph();
   const GasEngine engine(small_config());
   const auto result = engine.run(g, Bfs(1));
+  const trace::Symbol iteration =
+      trace::SymbolTable::global().intern("Iteration");
   std::int64_t max_iteration = -1;
   for (const auto& event : result.phase_events) {
-    for (const auto& element : event.path.elements) {
-      if (element.type == "Iteration") {
-        max_iteration = std::max(max_iteration, element.index);
+    for (const auto& entry : event.path) {
+      if (entry.type == iteration) {
+        max_iteration = std::max(max_iteration, entry.index);
       }
     }
   }
@@ -255,12 +257,14 @@ TEST(GasFaultTest, CrashRecoveryConvergesToReference) {
   // The reconciled crash log stays balanced, has Recovery/Checkpoint
   // phases, and reports the downtime as Recovery blocking events.
   std::map<std::string, int> open;
+  const trace::Symbol recovery =
+      trace::SymbolTable::global().intern("Recovery");
   bool saw_recovery_phase = false;
   for (const auto& event : result.phase_events) {
     open[event.path.to_string()] +=
         event.kind == trace::PhaseEventRecord::Kind::Begin ? 1 : -1;
-    for (const auto& element : event.path.elements) {
-      if (element.type == "Recovery") saw_recovery_phase = true;
+    for (const auto& entry : event.path) {
+      if (entry.type == recovery) saw_recovery_phase = true;
     }
   }
   for (const auto& [key, count] : open) EXPECT_EQ(count, 0) << key;

@@ -153,9 +153,10 @@ TEST(PregelEngineTest, EmitsGcPausesWhenEnabled) {
     if (block.resource == pregel_names::kGc) has_gc_block = true;
   }
   EXPECT_TRUE(has_gc_block);
+  const trace::Symbol gc_pause = trace::SymbolTable::global().intern("GcPause");
   bool has_gc_phase = false;
   for (const auto& event : result.phase_events) {
-    if (event.path.leaf().type == "GcPause") has_gc_phase = true;
+    if (event.path.leaf().type == gc_pause) has_gc_phase = true;
   }
   EXPECT_TRUE(has_gc_phase);
 }
@@ -212,11 +213,13 @@ TEST(PregelEngineTest, SuperstepCountMatchesAlgorithm) {
   const auto g = small_graph();
   const PregelEngine engine(small_config());
   const auto result = engine.run(g, PageRank(6));
+  const trace::Symbol superstep =
+      trace::SymbolTable::global().intern("Superstep");
   std::int64_t max_superstep = -1;
   for (const auto& event : result.phase_events) {
-    for (const auto& element : event.path.elements) {
-      if (element.type == "Superstep") {
-        max_superstep = std::max(max_superstep, element.index);
+    for (const auto& entry : event.path) {
+      if (entry.type == superstep) {
+        max_superstep = std::max(max_superstep, entry.index);
       }
     }
   }
@@ -374,9 +377,11 @@ TEST(PregelFaultTest, CrashedRunEmitsCheckpoints) {
   const auto g = small_graph();
   const PregelEngine engine(faulted_config("crash:w0@50%"));
   const auto result = engine.run(g, PageRank(6));
+  const trace::Symbol checkpoint_worker =
+      trace::SymbolTable::global().intern("CheckpointWorker");
   bool has_checkpoint = false;
   for (const auto& event : result.phase_events) {
-    if (event.path.leaf().type == "CheckpointWorker") has_checkpoint = true;
+    if (event.path.leaf().type == checkpoint_worker) has_checkpoint = true;
   }
   EXPECT_TRUE(has_checkpoint);
 }

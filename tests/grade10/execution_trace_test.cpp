@@ -51,6 +51,20 @@ TEST(ExecutionTraceTest, BuildsInstanceTree) {
   EXPECT_EQ(trace.machines()[0], 1);
 }
 
+TEST(ExecutionTraceTest, FindTakesOnlyTheCanonicalPath) {
+  const Models m = simple_models();
+  std::vector<trace::PhaseEventRecord> events;
+  add_phase(events, "Job.0", 0, 100);
+  add_phase(events, "Job.0/Step.1", 0, 50);
+  const auto trace =
+      ExecutionTrace::build(m.execution, m.resources, events, {});
+  EXPECT_NE(trace.find("Job.0/Step.1"), kNoInstance);
+  for (const char* path : {"Job.0/Step.01", "Job.0/Step. 1", "Job.0/Step.2",
+                           "Job.0/", "Job.0/Step", "", "Nope.0"}) {
+    EXPECT_EQ(trace.find(path), kNoInstance) << path;
+  }
+}
+
 TEST(ExecutionTraceTest, RejectsUnknownType) {
   const Models m = simple_models();
   std::vector<trace::PhaseEventRecord> events;
@@ -58,12 +72,6 @@ TEST(ExecutionTraceTest, RejectsUnknownType) {
   add_phase(events, "Job.0/Bogus.0", 0, 5);
   EXPECT_THROW(ExecutionTrace::build(m.execution, m.resources, events, {}),
                CheckError);
-  // ...unless unknown phases are explicitly ignored (untuned models).
-  ExecutionTrace::Options options;
-  options.ignore_unknown_phases = true;
-  const auto trace =
-      ExecutionTrace::build(m.execution, m.resources, events, {}, options);
-  EXPECT_EQ(trace.instances().size(), 1u);
 }
 
 TEST(ExecutionTraceTest, RejectsUnbalancedEvents) {
@@ -134,7 +142,7 @@ TEST(ExecutionTraceTest, RejectsBlockingOnConsumableResource) {
                CheckError);
 }
 
-TEST(ExecutionTraceTest, UnknownBlockingResourceOptionallyIgnored) {
+TEST(ExecutionTraceTest, RejectsUnknownBlockingResource) {
   const Models m = simple_models();
   std::vector<trace::PhaseEventRecord> events;
   add_phase(events, "Job.0", 0, 100);
@@ -142,11 +150,6 @@ TEST(ExecutionTraceTest, UnknownBlockingResourceOptionallyIgnored) {
   blocks.push_back(make_block("Mystery", "Job.0", 10, 20));
   EXPECT_THROW(ExecutionTrace::build(m.execution, m.resources, events, blocks),
                CheckError);
-  ExecutionTrace::Options options;
-  options.ignore_unknown_blocking = true;
-  const auto trace = ExecutionTrace::build(m.execution, m.resources, events,
-                                           blocks, options);
-  EXPECT_TRUE(trace.blocking().empty());
 }
 
 TEST(ExecutionTraceLenientTest, SynthesizesEndForTruncatedPhases) {

@@ -264,6 +264,44 @@ TEST(TraceLintTest, FaultBlockingWithSpecIsClean) {
   EXPECT_TRUE(report.clean());
 }
 
+// Trace findings come out in rendered-path order, whatever order the log
+// emits the instances in and however the linter stores them: here the log
+// emits Step.2 before Step.10 and each step's workers in neither rendered
+// order nor its reverse, while the report lists "Job.0/Step.10/..." first.
+TEST(TraceLintTest, FindingsFollowRenderedPathOrder) {
+  std::istringstream is(slurp(fixture_path("trace-model.g10")));
+  core::ModelParseResult model = core::parse_model(is);
+  ASSERT_TRUE(model.ok());
+  const trace::ParseResult parsed = trace::parse_log_text(
+      "PHASE\tB\tJob.0\t0\t-1\n"
+      "PHASE\tB\tJob.0/Step.2\t0\t-1\n"
+      "PHASE\tB\tJob.0/Step.2/Work.0\t10\t0\n"
+      "PHASE\tB\tJob.0/Step.2/Work.2\t5\t2\n"
+      "PHASE\tB\tJob.0/Step.2/Work.1\t0\t1\n"
+      "PHASE\tE\tJob.0/Step.2/Work.1\t60\t1\n"
+      "PHASE\tE\tJob.0/Step.2\t50\t-1\n"
+      "PHASE\tB\tJob.0/Step.10\t50\t-1\n"
+      "PHASE\tB\tJob.0/Step.10/Work.1\t50\t1\n"
+      "PHASE\tB\tJob.0/Step.10/Work.0\t50\t0\n"
+      "PHASE\tE\tJob.0/Step.10\t100\t-1\n"
+      "PHASE\tE\tJob.0\t100\t-1\n");
+  ASSERT_TRUE(parsed.ok());
+  std::ostringstream os;
+  render_text(os, lint_trace(model.model, parsed.log, {}, "order.log"));
+  const std::string unbalanced =
+      "order.log: error: [trace-unbalanced-begin] phase instance begins but "
+      "never ends (truncated log?)  ";
+  EXPECT_EQ(os.str(),
+            unbalanced + "(Job.0/Step.10/Work.0)\n" +
+                unbalanced + "(Job.0/Step.10/Work.1)\n" +
+                unbalanced + "(Job.0/Step.2/Work.0)\n" +
+                "order.log: error: [trace-child-escapes-parent] instance "
+                "runs [0, 60)ns, outside its parent's [0, 50)ns  "
+                "(Job.0/Step.2/Work.1)\n" +
+                unbalanced + "(Job.0/Step.2/Work.2)\n" +
+                "5 error(s), 0 warning(s)\n");
+}
+
 // ---------------------------------------------------------------------------
 // Clean corpus: the shipped example models and a real engine run must not
 // trigger anything.
@@ -348,10 +386,10 @@ TEST(BinaryTraceLintTest, CorruptBlockYieldsItsOwnFinding) {
 
   trace::ParsedLog log;
   log.phase_events.push_back({trace::PhaseEventRecord::Kind::Begin,
-                              trace::PhasePath{}.child("Job", 0), 0,
+                              trace::PathRef{}.child("Job", 0), 0,
                               trace::kGlobalMachine});
   log.phase_events.push_back({trace::PhaseEventRecord::Kind::End,
-                              trace::PhasePath{}.child("Job", 0), 1000,
+                              trace::PathRef{}.child("Job", 0), 1000,
                               trace::kGlobalMachine});
   const std::string path =
       (std::filesystem::temp_directory_path() /

@@ -65,14 +65,6 @@ TEST(ResourceTraceTest, RejectsUnknownOrBlockingResources) {
                    m, std::vector<trace::MonitoringSampleRecord>{
                           make_sample("GC", 0, 100, 1.0)}),
                CheckError);
-  ResourceTrace::Options options;
-  options.ignore_unknown_resources = true;
-  const auto trace = ResourceTrace::build(
-      m,
-      std::vector<trace::MonitoringSampleRecord>{
-          make_sample("mystery", 0, 100, 1.0)},
-      options);
-  EXPECT_TRUE(trace.series().empty());
 }
 
 TEST(ResourceTraceTest, FindMissingReturnsNull) {

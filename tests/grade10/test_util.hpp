@@ -8,7 +8,7 @@
 
 namespace g10::core::testing {
 
-inline trace::PhasePath make_path(const std::string& text) {
+inline trace::PathRef make_path(const std::string& text) {
   auto parsed = trace::parse_phase_path(text);
   if (!parsed) throw std::runtime_error("bad test path: " + text);
   return *parsed;

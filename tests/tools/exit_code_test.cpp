@@ -429,6 +429,71 @@ TEST(CountFlagExitCodeTest, ValuesAboveIntMaxAreBadArgs) {
   EXPECT_FALSE(std::filesystem::exists(fleet_out));
 }
 
+// parse_double rejects NaN and infinities. Before, NaN slipped past every
+// `<= 0` check: some of these ran the whole engine and then failed an
+// internal check (exit 1), others ran to exit 0.
+TEST(RunExitCodeTest, NonFiniteFloatFlagsAreBadArgs) {
+  const std::string out = (test_root() / "nonfinite_run").string();
+  const std::string run = std::string(G10_RUN_BIN) +
+                          " --engine pregel --algorithm pagerank"
+                          " --dataset rmat:5 --out " + out;
+  for (const char* flags :
+       {" --retry-timeout-ms nan", " --heartbeat-ms nan",
+        " --heartbeat-timeout-ms inf", " --batch-bytes nan",
+        " --batch-bytes inf", " --batch-flush-us nan"}) {
+    EXPECT_EQ(exit_code(run + flags), kExitBadArgs) << flags;
+  }
+  EXPECT_FALSE(std::filesystem::exists(out));
+}
+
+// --monitor-ms used to fall back to 400 ms on garbage, fail an internal
+// check after the engine ran on 0 or a negative value, and overflow the
+// nanosecond interval on huge values; --seed fell back to 2020.
+TEST(RunExitCodeTest, BadMonitorIntervalOrSeedIsBadArgs) {
+  const std::string out = (test_root() / "monitor_run").string();
+  const std::string run = std::string(G10_RUN_BIN) +
+                          " --engine pregel --algorithm pagerank"
+                          " --dataset rmat:5 --out " + out;
+  for (const char* flags :
+       {" --monitor-ms abc", " --monitor-ms 0", " --monitor-ms -5",
+        " --monitor-ms 99999999999999", " --seed abc", " --seed 3x"}) {
+    EXPECT_EQ(exit_code(run + flags), kExitBadArgs) << flags;
+  }
+  EXPECT_FALSE(std::filesystem::exists(out));
+}
+
+TEST(AnalyzeExitCodeTest, NonFiniteMinImpactIsBadArgs) {
+  const std::string base = std::string(G10_ANALYZE_BIN) + " --model " +
+                           ok_artifacts() + "/model.g10 --log " +
+                           ok_artifacts() + "/run.log";
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    EXPECT_EQ(exit_code(base + " --min-impact " + value), kExitBadArgs)
+        << value;
+  }
+}
+
+TEST(EnsembleExitCodeTest, NonFiniteFloatFlagsAreBadArgs) {
+  const std::string out = (test_root() / "nonfinite_fleet").string();
+  for (const char* flags :
+       {" --seeds 1 --deadline-s nan", " --jitter nan",
+        " --jobs 1 --hb-timeout-s nan", " --jobs 1 --rlimit-cpu-s inf"}) {
+    EXPECT_EQ(exit_code(tiny_fleet(out) + flags), kExitBadArgs) << flags;
+  }
+  EXPECT_FALSE(std::filesystem::exists(out));
+}
+
+TEST(LintExitCodeTest, NonFiniteModelNumbersAreErrors) {
+  const std::string model = (test_root() / "nonfinite.g10").string();
+  {
+    std::ofstream out(model);
+    out << "PHASE Job\n"
+           "PHASE Work PARENT=Job\n"
+           "RESOURCE cpu CONSUMABLE CAPACITY=nan\n"
+           "RULE Work cpu EXACT nan\n";
+  }
+  EXPECT_EQ(exit_code(std::string(G10_LINT_BIN) + " --model " + model), 1);
+}
+
 TEST(EnsembleExitCodeTest, SegfaultingWorkerSurfacesRunFailedWithSignal) {
   const std::string out = (test_root() / "segv_fleet").string();
   // The test-crash hook makes any worker that starts a seed=2 scenario die

@@ -52,7 +52,7 @@ TEST(DetFold, RepeatedEngineRunsDigestIdentically) {
   EXPECT_GT(first.total_folds, 100u);
 }
 
-TEST(DetFold, InjectedEventPerturbationNamesItsPhasePath) {
+TEST(DetFold, InjectedEventPerturbationNamesItsPath) {
   const RunArtifacts baseline = run_engine();
   RunArtifacts perturbed = run_engine();
   // Nudge one phase event in the middle of the stream by a nanosecond —

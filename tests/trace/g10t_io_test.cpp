@@ -171,7 +171,7 @@ ParsedLog edge_case_log() {
   log.meta.push_back({"note", "value with spaces"});
 
   // A path deeper than anything the engines emit.
-  PhasePath deep;
+  PathRef deep;
   for (int depth = 0; depth < 12; ++depth) {
     deep = deep.child("L" + std::to_string(depth), depth * 7 - 3);
   }
@@ -181,14 +181,14 @@ ParsedLog edge_case_log() {
                               std::numeric_limits<TimeNs>::max() / 2, -7});
   // Non-monotonic timestamps exercise the signed delta coding.
   log.phase_events.push_back({PhaseEventRecord::Kind::Begin,
-                              PhasePath{}.child("Job", 0), 1000, 3});
+                              PathRef{}.child("Job", 0), 1000, 3});
   log.phase_events.push_back({PhaseEventRecord::Kind::End,
-                              PhasePath{}.child("Job", 0), 250, 3});
+                              PathRef{}.child("Job", 0), 250, 3});
 
   log.blocking_events.push_back(
-      {"GC", PhasePath{}.child("Job", 0).child("W", 2), -10, 20, 1});
+      {"GC", PathRef{}.child("Job", 0).child("W", 2), -10, 20, 1});
   log.blocking_events.push_back(
-      {"MessageQueue", PhasePath{}.child("Job", 0), 5, 5, 2});
+      {"MessageQueue", PathRef{}.child("Job", 0), 5, 5, 2});
 
   log.samples.push_back({"cpu", 0, 0, 0.1});  // 0.1 is inexact in binary
   log.samples.push_back({"cpu", 1, 10, -0.0});
@@ -220,10 +220,10 @@ TEST(G10tIoTest, ManyDistinctSymbolsRoundTripWithUniqueOrdinals) {
   ParsedLog log;
   for (int i = 0; i < 400; ++i) {
     log.phase_events.push_back({PhaseEventRecord::Kind::Begin,
-                                PhasePath{}.child("P" + std::to_string(i), i),
+                                PathRef{}.child("P" + std::to_string(i), i),
                                 i * 10, i % 5});
     log.phase_events.push_back({PhaseEventRecord::Kind::End,
-                                PhasePath{}.child("P" + std::to_string(i), i),
+                                PathRef{}.child("P" + std::to_string(i), i),
                                 i * 10 + 5, i % 5});
   }
   // Re-intern every name after the table has fully grown: lookups that hit
@@ -231,11 +231,11 @@ TEST(G10tIoTest, ManyDistinctSymbolsRoundTripWithUniqueOrdinals) {
   for (int i = 0; i < 400; ++i) {
     log.phase_events.push_back(
         {PhaseEventRecord::Kind::Begin,
-         PhasePath{}.child("P" + std::to_string(i), i + 1000), 8000 + i * 10,
+         PathRef{}.child("P" + std::to_string(i), i + 1000), 8000 + i * 10,
          i % 5});
     log.phase_events.push_back(
         {PhaseEventRecord::Kind::End,
-         PhasePath{}.child("P" + std::to_string(i), i + 1000),
+         PathRef{}.child("P" + std::to_string(i), i + 1000),
          8000 + i * 10 + 5, i % 5});
   }
   const std::string bytes = encode(log);
@@ -271,11 +271,11 @@ TEST(G10tIoTest, SmallBlocksRoundTripAndIndexCoversAllKinds) {
 TEST(G10tIoTest, IndexRangesAreTight) {
   ParsedLog log;
   log.phase_events.push_back({PhaseEventRecord::Kind::Begin,
-                              PhasePath{}.child("Job", 0), 100, 2});
+                              PathRef{}.child("Job", 0), 100, 2});
   log.phase_events.push_back(
-      {PhaseEventRecord::Kind::End, PhasePath{}.child("Job", 0), 900, 5});
+      {PhaseEventRecord::Kind::End, PathRef{}.child("Job", 0), 900, 5});
   log.blocking_events.push_back(
-      {"GC", PhasePath{}.child("Job", 0), 50, 1200, 3});
+      {"GC", PathRef{}.child("Job", 0), 50, 1200, 3});
   const std::string bytes = encode(log);
   const G10tStructureParse parsed = parse_g10t_structure(bytes);
   ASSERT_TRUE(parsed.ok());

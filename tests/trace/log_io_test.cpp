@@ -21,11 +21,11 @@ std::string serialize(const ParsedLog& log) {
 TEST(LogIoTest, WriteParseRoundTrip) {
   std::vector<PhaseEventRecord> phases;
   phases.push_back({PhaseEventRecord::Kind::Begin,
-                    PhasePath{}.child("Job", 0), 0, kGlobalMachine});
-  phases.push_back({PhaseEventRecord::Kind::End, PhasePath{}.child("Job", 0),
+                    PathRef{}.child("Job", 0), 0, kGlobalMachine});
+  phases.push_back({PhaseEventRecord::Kind::End, PathRef{}.child("Job", 0),
                     5000, kGlobalMachine});
   std::vector<BlockingEventRecord> blocks;
-  blocks.push_back({"GC", PhasePath{}.child("Job", 0).child("T", 2), 10, 20, 1});
+  blocks.push_back({"GC", PathRef{}.child("Job", 0).child("T", 2), 10, 20, 1});
   std::vector<MonitoringSampleRecord> samples;
   samples.push_back({"cpu", 0, 1000, 3.25});
   samples.push_back({"network", 1, 2000, 1.5e8});
@@ -55,7 +55,7 @@ TEST(LogIoTest, WriteParseRoundTrip) {
 TEST(LogIoTest, MetaRecordsRoundTripAndLookUp) {
   std::vector<PhaseEventRecord> phases;
   phases.push_back({PhaseEventRecord::Kind::Begin,
-                    PhasePath{}.child("Job", 0), 0, kGlobalMachine});
+                    PathRef{}.child("Job", 0), 0, kGlobalMachine});
   std::ostringstream os;
   write_log(os, phases, {}, {},
             {{"faults", "crash:w1@40%"}, {"engine", "pregel"}});
@@ -105,6 +105,8 @@ TEST(LogIoTest, RejectsBadRecords) {
   EXPECT_TRUE(fails("BLOCK\tGC\tJob.0\t20\t10\t0\n"));    // end < begin
   EXPECT_TRUE(fails("BLOCK\t\tJob.0\t0\t10\t0\n"));       // empty resource
   EXPECT_TRUE(fails("SAMPLE\tcpu\t0\t100\tnotanumber\n"));
+  EXPECT_TRUE(fails("SAMPLE\tcpu\t0\t100\tnan\n"));
+  EXPECT_TRUE(fails("SAMPLE\tcpu\t0\t100\t-inf\n"));
 }
 
 TEST(LogIoTest, EmptyLogIsValid) {
@@ -118,8 +120,8 @@ TEST(LogIoTest, EmptyLogIsValid) {
 TEST(LogIoTest, MutatedLogsFailCleanly) {
   std::vector<PhaseEventRecord> phases;
   phases.push_back({PhaseEventRecord::Kind::Begin,
-                    PhasePath{}.child("Job", 0), 0, -1});
-  phases.push_back({PhaseEventRecord::Kind::End, PhasePath{}.child("Job", 0),
+                    PathRef{}.child("Job", 0), 0, -1});
+  phases.push_back({PhaseEventRecord::Kind::End, PathRef{}.child("Job", 0),
                     5000, -1});
   std::ostringstream os;
   write_log(os, phases, {}, {});

@@ -31,10 +31,9 @@ TEST(PathRefTest, EmptyPath) {
   EXPECT_TRUE(path.empty());
   EXPECT_EQ(path.depth(), 0u);
   EXPECT_EQ(path.to_string(), "");
-  EXPECT_TRUE(path.to_phase_path().empty());
 }
 
-TEST(PathRefTest, ChildAndParentMirrorPhasePath) {
+TEST(PathRefTest, ChildAndParent) {
   const PathRef path = PathRef{}.child("Job", 0).child("Execute", 0).child(
       "Superstep", 3);
   EXPECT_EQ(path.depth(), 3u);
@@ -56,27 +55,25 @@ TEST(PathRefTest, EqualityAndHashTrackContent) {
   EXPECT_FALSE(a == a.parent());
 }
 
-TEST(PathRefTest, RoundTripsThroughPhasePathAndString) {
+TEST(PathRefTest, RoundTripsThroughString) {
   const PathRef ref = PathRef{}
                           .child("Job", 0)
                           .child("Execute", 0)
                           .child("Superstep", 12)
                           .child("WorkerCompute", 2)
                           .child("ComputeThread", 5);
-  const PhasePath path = ref.to_phase_path();
-  EXPECT_EQ(path.to_string(), ref.to_string());
-  const PathRef back = PathRef::from_phase_path(path);
-  EXPECT_EQ(back, ref);
-  EXPECT_EQ(back.hash(), ref.hash());
-
-  const auto parsed = parse_phase_path(ref.to_string());
+  const std::string text = ref.to_string();
+  EXPECT_EQ(text,
+            "Job.0/Execute.0/Superstep.12/WorkerCompute.2/ComputeThread.5");
+  const auto parsed = parse_phase_path(text);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(PathRef::from_phase_path(*parsed), ref);
+  EXPECT_EQ(*parsed, ref);
+  EXPECT_EQ(parsed->hash(), ref.hash());
 }
 
 TEST(PathRefTest, OverflowBeyondInlineCapacity) {
   // Deeper than kInlineCapacity: entries spill to the heap vector and the
-  // path must behave identically (copies, equality, round-trip).
+  // path must behave identically (copies, equality, string round trip).
   PathRef ref;
   for (int i = 0; i < 2 * static_cast<int>(PathRef::kInlineCapacity); ++i) {
     ref = ref.child("Level", i);
@@ -85,12 +82,12 @@ TEST(PathRefTest, OverflowBeyondInlineCapacity) {
   const PathRef copy = ref;  // copy after spilling
   EXPECT_EQ(copy, ref);
   EXPECT_EQ(copy.hash(), ref.hash());
-  EXPECT_EQ(PathRef::from_phase_path(ref.to_phase_path()), ref);
+  EXPECT_EQ(parse_phase_path(ref.to_string()), ref);
   // Walking parents back across the spill boundary stays consistent.
   PathRef up = ref;
   for (std::size_t d = ref.depth(); d > 0; --d) {
     EXPECT_EQ(up.depth(), d);
-    EXPECT_EQ(PathRef::from_phase_path(up.to_phase_path()), up);
+    EXPECT_EQ(parse_phase_path(up.to_string()), up);
     up = up.parent();
   }
   EXPECT_TRUE(up.empty());
@@ -106,8 +103,8 @@ TEST(PathRefTest, PushBuildsIncrementally) {
 }
 
 // Property test: random paths over the phase vocabulary of all three
-// engine models round-trip losslessly PathRef -> PhasePath -> string ->
-// PhasePath -> PathRef, preserving equality and hashes.
+// engine models round-trip losslessly PathRef -> string -> PathRef,
+// preserving equality and hashes.
 TEST(PathRefTest, RandomCorpusRoundTrips) {
   const std::vector<std::string> types = {
       // Pregel
@@ -137,17 +134,14 @@ TEST(PathRefTest, RandomCorpusRoundTrips) {
     }
     ASSERT_EQ(ref.depth(), depth);
 
-    const PhasePath via_path = ref.to_phase_path();
     const std::string text = ref.to_string();
-    EXPECT_EQ(via_path.to_string(), text);
     rendered.insert(text);
 
     const auto parsed = parse_phase_path(text);
     ASSERT_TRUE(parsed.has_value()) << text;
-    EXPECT_EQ(*parsed, via_path);
-    const PathRef back = PathRef::from_phase_path(*parsed);
-    EXPECT_EQ(back, ref) << text;
-    EXPECT_EQ(back.hash(), ref.hash()) << text;
+    EXPECT_EQ(*parsed, ref) << text;
+    EXPECT_EQ(parsed->hash(), ref.hash()) << text;
+    EXPECT_EQ(parsed->to_string(), text);
   }
   // Sanity: the corpus was actually diverse.
   EXPECT_GT(rendered.size(), 450u);

@@ -126,13 +126,14 @@ TEST(TraceReaderTest, PhaseFilterKeepsSubtreePlusAncestorChainOnly) {
       golden_path("pregel_pagerank_d512_s99.log"), {}, filter);
   ASSERT_TRUE(sliced.ok());
   ASSERT_FALSE(sliced.log.phase_events.empty());
+  const Symbol superstep = SymbolTable::global().intern("Superstep");
   bool saw_superstep = false;
   for (const PhaseEventRecord& rec : sliced.log.phase_events) {
     // Sibling subtrees under the kept ancestors must not leak in.
     EXPECT_EQ(rec.path.to_string().find("LoadGraph"), std::string::npos);
     EXPECT_EQ(rec.path.to_string().find("StoreResults"), std::string::npos);
-    for (const PathElement& element : rec.path.elements) {
-      saw_superstep |= element.type == "Superstep";
+    for (const PathEntry& entry : rec.path) {
+      saw_superstep |= entry.type == superstep;
     }
   }
   EXPECT_TRUE(saw_superstep);

@@ -57,6 +57,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -176,9 +177,16 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--iterations") {
       if (!parse_int_at_least(*v, 1, args.iterations)) return std::nullopt;
     } else if (arg == "--seed") {
-      args.seed = static_cast<std::uint64_t>(parse_int(*v).value_or(2020));
+      const auto seed = parse_int(*v);
+      if (!seed) return std::nullopt;
+      args.seed = static_cast<std::uint64_t>(*seed);
     } else if (arg == "--monitor-ms") {
-      args.monitor_interval = parse_int(*v).value_or(400) * kMillisecond;
+      // Every int count of milliseconds fits a DurationNs.
+      static_assert(std::numeric_limits<int>::max() <=
+                    std::numeric_limits<DurationNs>::max() / kMillisecond);
+      int ms = 0;
+      if (!parse_int_at_least(*v, 1, ms)) return std::nullopt;
+      args.monitor_interval = ms * kMillisecond;
     } else if (arg == "--faults") {
       args.faults = *v;
     } else if (arg == "--retry-timeout-ms") {
