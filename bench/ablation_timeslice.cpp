@@ -55,8 +55,9 @@ int run() {
     double num = 0.0;
     double den = 0.0;
     if (cpu != nullptr) {
+      const trace::Symbol cpu_name = trace::SymbolTable::global().intern("cpu");
       for (const auto& sample : truth_samples) {
-        if (sample.resource != "cpu" || sample.machine != 0) continue;
+        if (sample.resource != cpu_name || sample.machine != 0) continue;
         const auto s = static_cast<std::size_t>((sample.time - 1) / slice);
         if (s < cpu->upsampled.usage.size()) {
           num += std::abs(cpu->upsampled.usage[s] - sample.value);

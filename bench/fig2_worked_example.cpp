@@ -62,7 +62,7 @@ int run() {
 
   std::vector<trace::MonitoringSampleRecord> samples;
   const auto sample = [&](const std::string& r, TimeNs t, double v) {
-    samples.push_back({r, 0, t, v});
+    samples.push_back({trace::SymbolTable::global().intern(r), 0, t, v});
   };
   sample("R1", 10, 60.0);
   sample("R1", 30, 95.0);

@@ -55,7 +55,8 @@ struct Fixture {
                       -1});
     // Monitoring at 4-slice quanta (slice = 10ns).
     for (TimeNs t = 40; t <= steps * step_len; t += 40) {
-      samples.push_back({"cpu", 0, t, rng.next_double(0.0, 8.0)});
+      samples.push_back({trace::SymbolTable::global().intern("cpu"), 0, t,
+                         rng.next_double(0.0, 8.0)});
     }
   }
 };

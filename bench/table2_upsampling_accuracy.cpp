@@ -39,8 +39,9 @@ std::vector<std::vector<double>> ground_truth_cpu(const EngineRun& run,
                                                   std::size_t slices) {
   std::vector<std::vector<double>> truth(
       static_cast<std::size_t>(machines), std::vector<double>(slices, 0.0));
+  const trace::Symbol cpu = trace::SymbolTable::global().intern("cpu");
   for (const auto& sample : run.fine_samples) {
-    if (sample.resource != "cpu") continue;
+    if (sample.resource != cpu) continue;
     const auto slice =
         static_cast<std::size_t>(sample.time / kGroundTruthInterval) - 1;
     if (slice < slices) {

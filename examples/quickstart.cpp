@@ -47,10 +47,11 @@ int main() {
       {trace::PhaseEventRecord::Kind::End, path("Job.0"), 100 * kMillisecond,
        -1},
   };
+  const trace::Symbol cpu_name = trace::SymbolTable::global().intern("cpu");
   std::vector<trace::MonitoringSampleRecord> samples{
-      {"cpu", 0, 40 * kMillisecond, 2.0},   // both workers busy
-      {"cpu", 0, 80 * kMillisecond, 1.0},   // only worker 0 left
-      {"cpu", 0, 100 * kMillisecond, 1.0},
+      {cpu_name, 0, 40 * kMillisecond, 2.0},   // both workers busy
+      {cpu_name, 0, 80 * kMillisecond, 1.0},   // only worker 0 left
+      {cpu_name, 0, 100 * kMillisecond, 1.0},
   };
 
   // 5. Characterize.

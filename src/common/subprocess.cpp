@@ -13,6 +13,10 @@
 #include "common/check.hpp"
 
 namespace g10 {
+
+// g10_ensemble bounds --rlimit-as-mb and --rlimit-cpu-s for a 64-bit rlim_t.
+static_assert(sizeof(rlim_t) == 8);
+
 namespace {
 
 ExitStatus decode_status(int raw) {

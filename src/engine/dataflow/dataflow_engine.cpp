@@ -17,10 +17,11 @@ namespace {
 
 using trace::PathRef;
 
-/// Phase-type names interned once per process; the engine then builds paths
-/// from symbols without touching the symbol table's mutex.
+/// Phase-type and resource names interned once per process; the engine then
+/// builds paths and ground truth from symbols without touching the symbol
+/// table's mutex.
 struct DataflowSymbols {
-  trace::Symbol job, stage, task, shuffle_write;
+  trace::Symbol job, stage, task, shuffle_write, cpu, network;
 };
 
 const DataflowSymbols& dataflow_symbols() {
@@ -31,6 +32,8 @@ const DataflowSymbols& dataflow_symbols() {
     s.stage = table.intern("Stage");
     s.task = table.intern("Task");
     s.shuffle_write = table.intern("ShuffleWrite");
+    s.cpu = table.intern(dataflow_names::kCpu);
+    s.network = table.intern(dataflow_names::kNetwork);
     return s;
   }();
   return symbols;
@@ -178,13 +181,13 @@ trace::RunArtifacts DataflowRun::execute() {
   for (int machine = 0; machine < cfg_.cluster.machine_count; ++machine) {
     auto& m = machines_[static_cast<std::size_t>(machine)];
     trace::GroundTruthSeries cpu;
-    cpu.resource = dataflow_names::kCpu;
+    cpu.resource = dataflow_symbols().cpu;
     cpu.machine = machine;
     cpu.capacity = static_cast<double>(cfg_.cluster.machine.cores);
     cpu.series = m.cpu->series();
     artifacts.ground_truth.push_back(std::move(cpu));
     trace::GroundTruthSeries net;
-    net.resource = dataflow_names::kNetwork;
+    net.resource = dataflow_symbols().network;
     net.machine = machine;
     net.capacity = cfg_.cluster.machine.nic_bytes_per_sec();
     net.series = m.nic->finalize_rate_series(makespan_);

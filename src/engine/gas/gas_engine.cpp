@@ -21,13 +21,14 @@ using graph::Graph;
 using graph::VertexId;
 using trace::PathRef;
 
-/// GAS-only phase-type names (the run skeleton interns the shared ones),
-/// interned once per process; the engine then builds paths from symbols
-/// without touching the symbol table's mutex.
+/// GAS-only phase-type and resource names (the run skeleton interns the
+/// shared ones), interned once per process; the engine then builds paths
+/// and blocking events from symbols without touching the symbol table's
+/// mutex.
 struct GasSymbols {
   trace::Symbol iteration, gather_step, worker_gather, gather_thread,
       apply_step, worker_apply, apply_thread, scatter_step, worker_scatter,
-      scatter_thread, exchange_step, worker_exchange;
+      scatter_thread, exchange_step, worker_exchange, retry;
 };
 
 const GasSymbols& gas_symbols() {
@@ -46,6 +47,7 @@ const GasSymbols& gas_symbols() {
     s.scatter_thread = table.intern("ScatterThread");
     s.exchange_step = table.intern("ExchangeStep");
     s.worker_exchange = table.intern("WorkerExchange");
+    s.retry = table.intern(gas_names::kRetry);
     return s;
   }();
   return symbols;
@@ -674,7 +676,7 @@ void GasRun::finalize_exchange_worker(int w, TimeNs begin, TimeNs send_done) {
   const TimeNs end = std::max(now, nic(w).time_empty(now));
   const PathRef worker = exchange_path_.child(gas_symbols().worker_exchange, w);
   if (send_done > begin) {
-    log_.block(gas_names::kRetry, worker, begin, send_done, w);
+    log_.block(gas_symbols().retry, worker, begin, send_done, w);
   }
   log_.end(worker, end, w);
   exchange_open_[static_cast<std::size_t>(w)] = 0;

@@ -28,12 +28,12 @@ void PhaseLogger::end(const trace::PathRef& path, TimeNs time,
       PhaseEventRecord{PhaseEventRecord::Kind::End, path, time, machine});
 }
 
-void PhaseLogger::block(std::string_view resource, const trace::PathRef& path,
+void PhaseLogger::block(trace::Symbol resource, const trace::PathRef& path,
                         TimeNs begin, TimeNs end, trace::MachineId machine) {
   G10_CHECK(end >= begin);
   if (end == begin) return;
-  blocking_events_.push_back(trace::BlockingEventRecord{
-      std::string(resource), path, begin, end, machine});
+  blocking_events_.push_back(
+      trace::BlockingEventRecord{resource, path, begin, end, machine});
 }
 
 bool PhaseLogger::abandon(const trace::PathRef& path) {

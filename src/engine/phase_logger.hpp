@@ -5,13 +5,12 @@
 //
 // This is the hot edge of trace generation, so everything is interned: the
 // engines pass PathRef (inline (symbol, index) pairs with a precomputed
-// hash), open-phase tracking keys on that hash, and the records themselves
-// carry the PathRef, so take_*() hands them over without a conversion.
+// hash) and resource Symbols, open-phase tracking keys on that hash, and the
+// records themselves carry both, so take_*() hands them over without a
+// conversion.
 #pragma once
 
 #include <optional>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,7 +39,7 @@ class PhaseLogger {
   void end(const trace::PathRef& path, TimeNs time, trace::MachineId machine);
 
   /// Records that `path` was blocked on `resource` over [begin, end).
-  void block(std::string_view resource, const trace::PathRef& path,
+  void block(trace::Symbol resource, const trace::PathRef& path,
              TimeNs begin, TimeNs end, trace::MachineId machine);
 
   /// Drops an open phase WITHOUT emitting an End record, leaving a truncated
@@ -55,8 +54,6 @@ class PhaseLogger {
   /// logged ahead of simulated time — e.g. WorkerCompute begins at t+prep —
   /// so crash handling clamps end times to at least the begin.)
   std::optional<TimeNs> open_begin(const trace::PathRef& path) const;
-
-  std::size_t open_phase_count() const { return open_.size(); }
 
   /// Moves the accumulated records out; the logger must have no open
   /// phases. Records appear in emission order.

@@ -19,12 +19,13 @@ using graph::Graph;
 using graph::VertexId;
 using trace::PathRef;
 
-/// Pregel-only phase-type names (the run skeleton interns the shared
-/// ones), interned once per process; the engine then builds paths from
-/// symbols without touching the symbol table's mutex.
+/// Pregel-only phase-type and resource names (the run skeleton interns the
+/// shared ones), interned once per process; the engine then builds paths
+/// and blocking events from symbols without touching the symbol table's
+/// mutex.
 struct PregelSymbols {
   trace::Symbol superstep, worker_prepare, worker_compute, compute_thread,
-      worker_communicate, worker_barrier, gc_pause;
+      worker_communicate, worker_barrier, gc_pause, gc, message_queue, retry;
 };
 
 const PregelSymbols& pregel_symbols() {
@@ -38,6 +39,9 @@ const PregelSymbols& pregel_symbols() {
     s.worker_communicate = table.intern("WorkerCommunicate");
     s.worker_barrier = table.intern("WorkerBarrier");
     s.gc_pause = table.intern("GcPause");
+    s.gc = table.intern(pregel_names::kGc);
+    s.message_queue = table.intern(pregel_names::kMessageQueue);
+    s.retry = table.intern(pregel_names::kRetry);
     return s;
   }();
   return symbols;
@@ -403,7 +407,7 @@ void PregelRun::thread_continue(int w, int th) {
         now, cfg_.queue.capacity_bytes * cfg_.queue.resume_fraction);
     schedule_epoch(resume, [this, w, th, now, resume] {
       if (dead(w)) return;
-      log_.block(pregel_names::kMessageQueue,
+      log_.block(pregel_symbols().message_queue,
                  ws_[static_cast<std::size_t>(w)]
                      .threads[static_cast<std::size_t>(th)]
                      .phase,
@@ -558,7 +562,7 @@ void PregelRun::resume_after_send(int w, int th, TimeNs now, TimeNs resume) {
                               .phase;
     schedule_epoch(resume, [this, w, th, phase, now, resume] {
       if (dead(w)) return;
-      log_.block(pregel_names::kRetry, phase, now, resume, w);
+      log_.block(pregel_symbols().retry, phase, now, resume, w);
       thread_continue(w, th);
     });
     return;
@@ -649,7 +653,7 @@ void PregelRun::end_gc(int w) {
     auto& thread = state.threads[static_cast<std::size_t>(th)];
     if (thread.waiting_gc) {
       thread.waiting_gc = false;
-      log_.block(pregel_names::kGc, thread.phase, thread.gc_wait_begin, now,
+      log_.block(pregel_symbols().gc, thread.phase, thread.gc_wait_begin, now,
                  w);
       thread_continue(w, th);
     }
@@ -786,8 +790,8 @@ void PregelRun::abort_worker_step(int w, TimeNs now, bool truncate) {
     }
     if (thread.phase_open) {
       if (thread.waiting_gc && !truncate) {
-        log_.block(pregel_names::kGc, thread.phase, thread.gc_wait_begin, now,
-                   w);
+        log_.block(pregel_symbols().gc, thread.phase, thread.gc_wait_begin,
+                   now, w);
       }
       if (truncate) {
         // The crashed worker's log simply stops: its open phases keep their

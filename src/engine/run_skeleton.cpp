@@ -14,11 +14,12 @@ using trace::PathRef;
 // must not perturb the engine's own draw sequence.
 constexpr std::uint64_t kFaultSeedSalt = 0x9e3779b97f4a7c15ULL;
 
-/// Phase types both engines emit, interned once per process.
+/// Phase types and resources both engines emit, interned once per process.
+/// "Recovery" names both a phase type and a blocking resource.
 struct RunSymbols {
   trace::Symbol job, load_graph, load_worker, execute, checkpoint,
       checkpoint_worker, recovery, recovery_worker, store_results,
-      store_worker;
+      store_worker, cpu, network;
 };
 
 const RunSymbols& run_symbols() {
@@ -31,10 +32,12 @@ const RunSymbols& run_symbols() {
     s.execute = table.intern("Execute");
     s.checkpoint = table.intern("Checkpoint");
     s.checkpoint_worker = table.intern("CheckpointWorker");
-    s.recovery = table.intern("Recovery");
+    s.recovery = table.intern(run_names::kRecovery);
     s.recovery_worker = table.intern("RecoveryWorker");
     s.store_results = table.intern("StoreResults");
     s.store_worker = table.intern("StoreWorker");
+    s.cpu = table.intern(run_names::kCpu);
+    s.network = table.intern(run_names::kNetwork);
     return s;
   }();
   return symbols;
@@ -121,7 +124,7 @@ trace::RunArtifacts RunSkeleton::execute(TimeNs horizon) {
   for (int w = 0; w < workers_; ++w) {
     auto& machine = machines_[static_cast<std::size_t>(w)];
     trace::GroundTruthSeries cpu;
-    cpu.resource = run_names::kCpu;
+    cpu.resource = run_symbols().cpu;
     cpu.machine = w;
     cpu.capacity = static_cast<double>(machine_spec.cores);
     cpu.series = StepFunction::clamped_sum(machine.cpu->series(), machine.noise,
@@ -129,7 +132,7 @@ trace::RunArtifacts RunSkeleton::execute(TimeNs horizon) {
     artifacts.ground_truth.push_back(std::move(cpu));
 
     trace::GroundTruthSeries net;
-    net.resource = run_names::kNetwork;
+    net.resource = run_symbols().network;
     net.machine = w;
     net.capacity = machine_spec.nic_bytes_per_sec();
     net.series = machine.nic->finalize_rate_series(makespan_);
@@ -425,7 +428,7 @@ void RunSkeleton::detect_and_recover() {
     const PathRef worker_rec = rec.child(sym.recovery_worker, w);
     log_.begin(worker_rec, now, w);
     log_.end(worker_rec, wend, w);
-    log_.block(run_names::kRecovery, worker_rec, now, wend, w);
+    log_.block(sym.recovery, worker_rec, now, wend, w);
     rec_end = std::max(rec_end, wend);
   }
   log_.end(rec, rec_end, trace::kGlobalMachine);

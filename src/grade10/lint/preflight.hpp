@@ -9,10 +9,6 @@
 
 namespace g10::lint {
 
-/// Lints a model file's text alone (no trace).
-LintReport preflight_model(std::string_view model_text,
-                           std::string_view model_filename);
-
 /// Lints model text plus a parsed log: model rules, every log-parser
 /// diagnostic as trace-syntax (or trace-binary-corrupt-block when the log
 /// came from a `.g10t` reader), and the trace rules cross-checked against

@@ -133,13 +133,14 @@ class TraceLinter {
 
   void check_against_model(const trace::PathRef& path, const Instance& inst) {
     if (path.empty()) return;
-    const std::string leaf_type(symbols_.name(path.leaf().type));
-    const core::PhaseTypeId type_id = model_.execution.find(leaf_type);
+    const core::PhaseTypeId type_id = model_.execution.find(path.leaf().type);
     if (type_id == core::kNoPhaseType) {
+      const std::string leaf_type(symbols_.name(path.leaf().type));
       add_once("trace-unknown-phase-type", Severity::kError, leaf_type,
                "phase type '" + leaf_type + "' is not in the model");
       return;
     }
+    const std::string& leaf_type = model_.execution.type(type_id).name;
     if (path.depth() == 1) {
       if (type_id != model_.execution.root()) {
         add_once("trace-hierarchy-mismatch", Severity::kError, leaf_type,
@@ -149,11 +150,11 @@ class TraceLinter {
       }
       return;
     }
-    const std::string parent_type(
-        symbols_.name(path[path.depth() - 2].type));
-    const core::PhaseTypeId parent_id = model_.execution.find(parent_type);
+    const core::PhaseTypeId parent_id =
+        model_.execution.find(path[path.depth() - 2].type);
     if (parent_id != core::kNoPhaseType &&
         model_.execution.type(type_id).parent != parent_id) {
+      const std::string& parent_type = model_.execution.type(parent_id).name;
       add_once("trace-hierarchy-mismatch", Severity::kError,
                parent_type + "/" + leaf_type,
                "the model does not declare '" + parent_type +
@@ -183,17 +184,18 @@ class TraceLinter {
     // Instances of a REPEATED type under one parent must run sequentially
     // (paper: supersteps); concurrent instances of non-repeated types
     // (one worker per machine) are expected.
-    std::map<std::pair<std::string, std::string>, std::vector<const Instance*>>
+    std::map<std::pair<std::string, std::string_view>,
+             std::vector<const Instance*>>
         groups;
     for (const InstanceEntry* entry : sorted_) {
       const auto& [path, inst] = *entry;
       if (!inst.complete() || path.empty()) continue;
-      const std::string type(symbols_.name(path.leaf().type));
-      const core::PhaseTypeId id = model_.execution.find(type);
+      const core::PhaseTypeId id = model_.execution.find(path.leaf().type);
       if (id == core::kNoPhaseType || !model_.execution.type(id).repeated) {
         continue;
       }
-      groups[{path.parent().to_string(), type}].push_back(&inst);
+      groups[{path.parent().to_string(), model_.execution.type(id).name}]
+          .push_back(&inst);
     }
     for (auto& [group, members] : groups) {
       std::sort(members.begin(), members.end(),
@@ -228,15 +230,15 @@ class TraceLinter {
     for (const trace::BlockingEventRecord& event : log_.blocking_events) {
       const core::ResourceId resource = model_.resources.find(event.resource);
       if (resource == core::kNoResource) {
-        add_once("trace-blocking-unknown-resource", Severity::kError,
-                 event.resource,
-                 "blocking resource '" + event.resource +
-                     "' is not in the model");
+        const std::string name(symbols_.name(event.resource));
+        add_once("trace-blocking-unknown-resource", Severity::kError, name,
+                 "blocking resource '" + name + "' is not in the model");
       } else if (model_.resources.resource(resource).kind ==
                  core::ResourceKind::kConsumable) {
+        const std::string& name = model_.resources.resource(resource).name;
         add_once("trace-blocking-consumable-resource", Severity::kWarning,
-                 event.resource,
-                 "resource '" + event.resource +
+                 name,
+                 "resource '" + name +
                      "' is CONSUMABLE; blocked time is only accounted for "
                      "blocking resources");
       }
@@ -270,36 +272,44 @@ class TraceLinter {
     // or hand-assembled log whose fault attribution can't be cross-checked.
     const auto spec = log_.meta_value("faults");
     if (spec.has_value() && !trim(*spec).empty()) return;
+    const trace::Symbol retry = symbols_.intern("Retry");
+    const trace::Symbol recovery = symbols_.intern("Recovery");
     for (const trace::BlockingEventRecord& event : log_.blocking_events) {
-      if (event.resource != "Retry" && event.resource != "Recovery") continue;
-      add_once("trace-fault-blocking-without-spec", Severity::kWarning,
-               event.resource,
-               "log records '" + event.resource +
+      if (event.resource != retry && event.resource != recovery) continue;
+      const std::string name(symbols_.name(event.resource));
+      add_once("trace-fault-blocking-without-spec", Severity::kWarning, name,
+               "log records '" + name +
                    "' blocked time but no 'faults' META record names the "
                    "injected fault spec");
     }
   }
 
   void check_samples() {
-    std::map<std::pair<std::string, MachineId>,
+    // Keyed on the interned name, so series are checked in name order.
+    std::map<std::pair<std::string_view, MachineId>,
              std::vector<const trace::MonitoringSampleRecord*>>
         series;
+    // Samples arrive series by series, so remembering the last name skips
+    // almost every symbol-table lookup. Symbol 0 is the empty name.
+    trace::Symbol last = 0;
+    std::string_view name;
     for (const trace::MonitoringSampleRecord& sample : log_.samples) {
+      if (sample.resource != last) name = symbols_.name(last = sample.resource);
       // Built only for a finding: this loop runs once per sample.
-      const auto context = [&sample] {
-        return sample.resource + "@" + std::to_string(sample.machine);
+      const auto context = [&sample, name] {
+        return std::string(name) + "@" + std::to_string(sample.machine);
       };
       const core::ResourceId resource = model_.resources.find(sample.resource);
       if (resource == core::kNoResource) {
         add_once("trace-sample-unknown-resource", Severity::kError,
-                 sample.resource,
-                 "monitored resource '" + sample.resource +
+                 std::string(name),
+                 "monitored resource '" + std::string(name) +
                      "' is not in the model");
       } else if (model_.resources.resource(resource).kind ==
                  core::ResourceKind::kBlocking) {
         add_once("trace-sample-blocking-resource", Severity::kError,
-                 sample.resource,
-                 "resource '" + sample.resource +
+                 std::string(name),
+                 "resource '" + std::string(name) +
                      "' is BLOCKING and has no consumption rate to sample");
       } else {
         const double capacity = model_.resources.resource(resource).capacity;
@@ -307,7 +317,7 @@ class TraceLinter {
           add_once("trace-sample-over-capacity", Severity::kWarning, context(),
                    "sample value " + format_fixed(sample.value, 3) +
                        " exceeds the capacity " + format_fixed(capacity, 3) +
-                       " of '" + sample.resource + "' (unit mismatch?)");
+                       " of '" + std::string(name) + "' (unit mismatch?)");
         }
       }
       if (sample.value < 0.0) {
@@ -316,11 +326,11 @@ class TraceLinter {
                      format_fixed(sample.value, 3));
       }
       check_machine(sample.machine, "a monitoring sample");
-      series[{sample.resource, sample.machine}].push_back(&sample);
+      series[{name, sample.machine}].push_back(&sample);
     }
     for (const auto& [key, samples] : series) {
       const std::string context =
-          key.first + "@" + std::to_string(key.second);
+          std::string(key.first) + "@" + std::to_string(key.second);
       for (std::size_t i = 1; i < samples.size(); ++i) {
         if (samples[i]->time <= samples[i - 1]->time) {
           add_once("trace-sample-nonmonotonic", Severity::kError, context,
@@ -364,7 +374,7 @@ class TraceLinter {
   TraceLintOptions options_;
   std::string file_;
   LintReport report_;
-  const trace::SymbolTable& symbols_ = trace::SymbolTable::global();
+  trace::SymbolTable& symbols_ = trace::SymbolTable::global();
   std::unordered_map<trace::PathRef, Instance, trace::PathRefHash> instances_;
   using InstanceEntry = std::pair<const trace::PathRef, Instance>;
   std::vector<const InstanceEntry*> sorted_;  ///< by rendered path

@@ -8,6 +8,7 @@ namespace g10::core {
 
 PhaseTypeId ExecutionModel::add_root(std::string name) {
   G10_CHECK_MSG(types_.empty(), "execution model already has a root");
+  symbols_.push_back(trace::SymbolTable::global().intern(name));
   PhaseType root;
   root.name = std::move(name);
   types_.push_back(std::move(root));
@@ -19,6 +20,7 @@ PhaseTypeId ExecutionModel::add_child(PhaseTypeId parent, std::string name,
   G10_CHECK(parent >= 0 && static_cast<std::size_t>(parent) < types_.size());
   G10_CHECK_MSG(find(name) == kNoPhaseType,
                 "duplicate phase type name: " << name);
+  symbols_.push_back(trace::SymbolTable::global().intern(name));
   const auto id = static_cast<PhaseTypeId>(types_.size());
   PhaseType type;
   type.name = std::move(name);
@@ -56,11 +58,15 @@ const PhaseType& ExecutionModel::type(PhaseTypeId id) const {
   return types_[static_cast<std::size_t>(id)];
 }
 
-PhaseTypeId ExecutionModel::find(std::string_view name) const {
-  for (std::size_t i = 0; i < types_.size(); ++i) {
-    if (types_[i].name == name) return static_cast<PhaseTypeId>(i);
+PhaseTypeId ExecutionModel::find(trace::Symbol name) const {
+  for (std::size_t i = 0; i < symbols_.size(); ++i) {
+    if (symbols_[i] == name) return static_cast<PhaseTypeId>(i);
   }
   return kNoPhaseType;
+}
+
+PhaseTypeId ExecutionModel::find(std::string_view name) const {
+  return find(trace::SymbolTable::global().intern(name));
 }
 
 void ExecutionModel::validate() const {

@@ -19,6 +19,8 @@
 #include <string_view>
 #include <vector>
 
+#include "trace/symbol_table.hpp"
+
 namespace g10::core {
 
 using PhaseTypeId = std::int32_t;
@@ -55,7 +57,9 @@ class ExecutionModel {
   std::size_t type_count() const { return types_.size(); }
   const PhaseType& type(PhaseTypeId id) const;
 
-  /// Looks a type up by name; kNoPhaseType if absent.
+  /// Looks a type up by its interned name; kNoPhaseType if absent.
+  PhaseTypeId find(trace::Symbol name) const;
+  /// Interns `name`, then as above.
   PhaseTypeId find(std::string_view name) const;
 
   /// Checks structural invariants: exactly one root, acyclic sibling order,
@@ -64,6 +68,7 @@ class ExecutionModel {
 
  private:
   std::vector<PhaseType> types_;
+  std::vector<trace::Symbol> symbols_;  ///< interned names, by PhaseTypeId
 };
 
 }  // namespace g10::core

@@ -7,6 +7,7 @@ namespace g10::core {
 ResourceId ResourceModel::add(Resource resource) {
   G10_CHECK_MSG(find(resource.name) == kNoResource,
                 "duplicate resource name: " << resource.name);
+  symbols_.push_back(trace::SymbolTable::global().intern(resource.name));
   resources_.push_back(std::move(resource));
   return static_cast<ResourceId>(resources_.size() - 1);
 }
@@ -30,11 +31,15 @@ ResourceId ResourceModel::add_blocking(std::string name, ResourceScope scope) {
   return add(std::move(r));
 }
 
-ResourceId ResourceModel::find(std::string_view name) const {
-  for (std::size_t i = 0; i < resources_.size(); ++i) {
-    if (resources_[i].name == name) return static_cast<ResourceId>(i);
+ResourceId ResourceModel::find(trace::Symbol name) const {
+  for (std::size_t i = 0; i < symbols_.size(); ++i) {
+    if (symbols_[i] == name) return static_cast<ResourceId>(i);
   }
   return kNoResource;
+}
+
+ResourceId ResourceModel::find(std::string_view name) const {
+  return find(trace::SymbolTable::global().intern(name));
 }
 
 const Resource& ResourceModel::resource(ResourceId id) const {

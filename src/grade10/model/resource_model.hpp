@@ -9,6 +9,8 @@
 #include <string_view>
 #include <vector>
 
+#include "trace/symbol_table.hpp"
+
 namespace g10::core {
 
 using ResourceId = std::int32_t;
@@ -36,10 +38,12 @@ class ResourceModel {
   ResourceId add_blocking(std::string name,
                           ResourceScope scope = ResourceScope::kPerMachine);
 
+  /// Looks a resource up by its interned name; kNoResource if absent.
+  ResourceId find(trace::Symbol name) const;
+  /// Interns `name`, then as above.
   ResourceId find(std::string_view name) const;
   const Resource& resource(ResourceId id) const;
   std::size_t resource_count() const { return resources_.size(); }
-  const std::vector<Resource>& resources() const { return resources_; }
 
   std::vector<ResourceId> consumables() const;
   std::vector<ResourceId> blockings() const;
@@ -47,6 +51,7 @@ class ResourceModel {
  private:
   ResourceId add(Resource resource);
   std::vector<Resource> resources_;
+  std::vector<trace::Symbol> symbols_;  ///< interned names, by ResourceId
 };
 
 }  // namespace g10::core

@@ -72,11 +72,10 @@ ExecutionTrace ExecutionTrace::build(
 
   for (const auto& event : phase_events) {
     if (event.kind == trace::PhaseEventRecord::Kind::Begin) {
-      const std::string_view type_name = symbols.name(event.path.leaf().type);
-      const PhaseTypeId type = model.find(type_name);
+      const PhaseTypeId type = model.find(event.path.leaf().type);
       if (type == kNoPhaseType) {
         require_lenient("unknown phase type in log: " +
-                        std::string(type_name));
+                        std::string(symbols.name(event.path.leaf().type)));
         warn("skipped phase of unknown type: " + event.path.to_string());
         continue;
       }
@@ -242,15 +241,15 @@ ExecutionTrace ExecutionTrace::build(
   for (const auto& event : blocking_events) {
     const ResourceId resource = resources.find(event.resource);
     if (resource == kNoResource) {
-      require_lenient("unknown blocking resource: " + event.resource);
-      warn("skipped blocking event on unknown resource: " + event.resource);
+      const std::string name(symbols.name(event.resource));
+      require_lenient("unknown blocking resource: " + name);
+      warn("skipped blocking event on unknown resource: " + name);
       continue;
     }
     if (resources.resource(resource).kind != ResourceKind::kBlocking) {
-      require_lenient("blocking event on consumable resource: " +
-                      event.resource);
-      warn("skipped blocking event on consumable resource: " +
-           event.resource);
+      const std::string& name = resources.resource(resource).name;
+      require_lenient("blocking event on consumable resource: " + name);
+      warn("skipped blocking event on consumable resource: " + name);
       continue;
     }
     const auto it = trace.by_path_.find(event.path);

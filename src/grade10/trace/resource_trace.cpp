@@ -16,10 +16,11 @@ ResourceTrace ResourceTrace::build(
   for (const auto& sample : samples) {
     const ResourceId resource = model.find(sample.resource);
     G10_CHECK_MSG(resource != kNoResource,
-                  "unknown monitored resource: " << sample.resource);
-    G10_CHECK_MSG(
-        model.resource(resource).kind == ResourceKind::kConsumable,
-        "monitoring sample for blocking resource: " << sample.resource);
+                  "unknown monitored resource: "
+                      << trace::SymbolTable::global().name(sample.resource));
+    G10_CHECK_MSG(model.resource(resource).kind == ResourceKind::kConsumable,
+                  "monitoring sample for blocking resource: "
+                      << model.resource(resource).name);
     groups[{resource, sample.machine}].push_back(&sample);
   }
 
@@ -33,7 +34,8 @@ ResourceTrace ResourceTrace::build(
     TimeNs previous = 0;
     for (const auto* rec : recs) {
       G10_CHECK_MSG(rec->time > previous,
-                    "duplicate monitoring sample time for " << rec->resource);
+                    "duplicate monitoring sample time for "
+                        << model.resource(key.first).name);
       series.measurements.push_back(Measurement{previous, rec->time, rec->value});
       previous = rec->time;
     }

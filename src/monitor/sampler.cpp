@@ -36,12 +36,14 @@ std::vector<MonitoringSampleRecord> downsample(
   G10_CHECK(factor >= 1);
   if (factor == 1) return samples;
 
-  // Group by stream, preserving per-stream order.
-  std::map<std::pair<std::string, trace::MachineId>,
+  // Group by stream, preserving per-stream order; streams are emitted in
+  // (resource name, machine) order.
+  const trace::SymbolTable& symbols = trace::SymbolTable::global();
+  std::map<std::pair<std::string_view, trace::MachineId>,
            std::vector<const MonitoringSampleRecord*>>
       streams;
   for (const auto& rec : samples) {
-    streams[{rec.resource, rec.machine}].push_back(&rec);
+    streams[{symbols.name(rec.resource), rec.machine}].push_back(&rec);
   }
   std::vector<MonitoringSampleRecord> out;
   for (auto& [key, recs] : streams) {
@@ -53,7 +55,7 @@ std::vector<MonitoringSampleRecord> downsample(
       double sum = 0.0;
       for (std::size_t j = i; j < end; ++j) sum += recs[j]->value;
       MonitoringSampleRecord merged;
-      merged.resource = key.first;
+      merged.resource = recs.front()->resource;
       merged.machine = key.second;
       merged.time = recs[end - 1]->time;
       merged.value = sum / static_cast<double>(end - i);

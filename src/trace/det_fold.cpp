@@ -23,7 +23,7 @@ void fold_blocking_events(DetHasher& hasher,
   for (const BlockingEventRecord& event : events) {
     key.clear();
     event.path.append_to(key);
-    hasher.fold_bytes(key, event.resource);
+    hasher.fold_bytes(key, SymbolTable::global().name(event.resource));
     hasher.fold_i64(key, event.begin);
     hasher.fold_i64(key, event.end);
     hasher.fold_i64(key, event.machine);
@@ -53,7 +53,7 @@ void fold_samples(DetHasher& hasher,
   std::string key;
   for (const MonitoringSampleRecord& sample : samples) {
     key = "monitor/";
-    key += sample.resource;
+    key += SymbolTable::global().name(sample.resource);
     key += "/m";
     key += std::to_string(sample.machine);
     hasher.fold_i64(key, sample.time);

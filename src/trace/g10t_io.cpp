@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <unordered_map>
 
@@ -18,31 +17,31 @@ void put_u64_raw(std::string& out, std::uint64_t value) {
   }
 }
 
-/// Per-file symbol interning: name -> ordinal in first-use order.
+/// A name's ordinal in the file's symbol table, and its index bloom bit.
+struct FileSymbol {
+  std::uint64_t ordinal = 0;
+  std::uint64_t bloom = 0;
+};
+
+/// Per-file symbol numbering: global Symbol -> ordinal in first-use order,
+/// with each name's bloom bit computed once.
 class FileSymbols {
  public:
-  std::uint64_t intern(std::string_view name) {
-    const auto it = index_.find(name);
-    if (it != index_.end()) return it->second;
-    // Deque elements never relocate, so views keyed on them stay valid as
-    // the table grows (a vector would move SSO strings on reallocation and
-    // dangle every stored key).
-    names_.emplace_back(name);
-    return index_.emplace(names_.back(), names_.size() - 1).first->second;
+  FileSymbol intern(Symbol symbol) {
+    const auto [it, inserted] = index_.try_emplace(symbol);
+    if (inserted) {
+      it->second = {symbols_.size(),
+                    name_bloom_bit(SymbolTable::global().name(symbol))};
+      symbols_.push_back(symbol);
+    }
+    return it->second;
   }
 
-  const std::deque<std::string>& names() const { return names_; }
+  const std::vector<Symbol>& symbols() const { return symbols_; }
 
  private:
-  struct Hash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::deque<std::string> names_;
-  std::unordered_map<std::string_view, std::uint64_t, Hash, std::equal_to<>>
-      index_;
+  std::vector<Symbol> symbols_;
+  std::unordered_map<Symbol, FileSymbol> index_;
 };
 
 /// Per-block dictionary of distinct phase paths, in first-use order.
@@ -63,15 +62,14 @@ class PathDict {
 
 void encode_path_dict(std::string& out, const PathDict& dict,
                       FileSymbols& symbols, std::uint64_t& bloom) {
-  const SymbolTable& table = SymbolTable::global();
   put_varint(out, dict.paths().size());
   for (const PathRef* path : dict.paths()) {
     put_varint(out, path->depth());
     for (const PathEntry& entry : *path) {
-      const std::string_view type = table.name(entry.type);
-      put_varint(out, symbols.intern(type));
+      const FileSymbol type = symbols.intern(entry.type);
+      put_varint(out, type.ordinal);
       put_zigzag(out, entry.index);
-      bloom |= name_bloom_bit(type);
+      bloom |= type.bloom;
     }
   }
 }
@@ -150,7 +148,7 @@ EncodedBlock encode_blocking_block(const BlockingEventRecord* records,
   encode_path_dict(out, dict, symbols, block.entry.name_bloom);
   for (const std::uint64_t id : path_ids) put_varint(out, id);
   for (std::size_t i = 0; i < count; ++i) {
-    put_varint(out, symbols.intern(records[i].resource));
+    put_varint(out, symbols.intern(records[i].resource).ordinal);
   }
 
   TimeNs previous = 0;
@@ -178,8 +176,9 @@ EncodedBlock encode_sample_block(const MonitoringSampleRecord* records,
   std::string& out = block.payload;
 
   for (std::size_t i = 0; i < count; ++i) {
-    put_varint(out, symbols.intern(records[i].resource));
-    block.entry.name_bloom |= name_bloom_bit(records[i].resource);
+    const FileSymbol resource = symbols.intern(records[i].resource);
+    put_varint(out, resource.ordinal);
+    block.entry.name_bloom |= resource.bloom;
   }
   for (std::size_t i = 0; i < count; ++i) put_zigzag(out, records[i].machine);
 
@@ -218,9 +217,8 @@ void encode_stream(const std::vector<Record>& records,
 // --- decode helpers ------------------------------------------------------
 
 std::optional<std::string> decode_path_dict(
-    ByteCursor& cursor, const std::vector<std::string>& symbols,
+    ByteCursor& cursor, const std::vector<Symbol>& symbols,
     std::vector<PathRef>& dict) {
-  SymbolTable& table = SymbolTable::global();
   std::uint64_t dict_count = 0;
   if (!cursor.read_varint(dict_count)) return "truncated path dictionary";
   if (dict_count > cursor.remaining()) return "path dictionary overruns block";
@@ -241,7 +239,7 @@ std::optional<std::string> decode_path_dict(
         return "path element references symbol " + std::to_string(symbol) +
                " of " + std::to_string(symbols.size());
       }
-      path.push(table.intern(symbols[symbol]), index);
+      path.push(symbols[symbol], index);
     }
     dict.push_back(std::move(path));
   }
@@ -250,7 +248,7 @@ std::optional<std::string> decode_path_dict(
 
 std::optional<std::string> decode_phase_block(
     ByteCursor& cursor, std::uint64_t count,
-    const std::vector<std::string>& symbols, DecodedBlock& out) {
+    const std::vector<Symbol>& symbols, DecodedBlock& out) {
   std::vector<PathRef> dict;
   if (auto error = decode_path_dict(cursor, symbols, dict)) return error;
 
@@ -288,7 +286,7 @@ std::optional<std::string> decode_phase_block(
 
 std::optional<std::string> decode_blocking_block(
     ByteCursor& cursor, std::uint64_t count,
-    const std::vector<std::string>& symbols, DecodedBlock& out) {
+    const std::vector<Symbol>& symbols, DecodedBlock& out) {
   std::vector<PathRef> dict;
   if (auto error = decode_path_dict(cursor, symbols, dict)) return error;
 
@@ -326,7 +324,7 @@ std::optional<std::string> decode_blocking_block(
 
 std::optional<std::string> decode_sample_block(
     ByteCursor& cursor, std::uint64_t count,
-    const std::vector<std::string>& symbols, DecodedBlock& out) {
+    const std::vector<Symbol>& symbols, DecodedBlock& out) {
   out.samples.resize(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t symbol = 0;
@@ -372,8 +370,9 @@ void write_g10t(std::ostream& os, const ParsedLog& log,
   // The symbol table is finalized only after every block encoded (blocks
   // intern lazily), so sections serialize back to front.
   std::string symtab;
-  put_varint(symtab, symbols.names().size());
-  for (const std::string& name : symbols.names()) {
+  put_varint(symtab, symbols.symbols().size());
+  for (const Symbol symbol : symbols.symbols()) {
+    const std::string_view name = SymbolTable::global().name(symbol);
     put_varint(symtab, name.size());
     symtab.append(name);
   }
@@ -467,7 +466,7 @@ G10tStructureParse parse_g10t_structure(std::string_view bytes) {
         out.error = "corrupt symbol table entry " + std::to_string(i);
         return out;
       }
-      structure.symbols.emplace_back(name);
+      structure.symbols.push_back(SymbolTable::global().intern(name));
     }
   }
 
@@ -519,7 +518,7 @@ G10tStructureParse parse_g10t_structure(std::string_view bytes) {
 
 std::optional<std::string> decode_block(
     std::string_view payload, const IndexEntry& entry,
-    const std::vector<std::string>& symbols, DecodedBlock& out) {
+    const std::vector<Symbol>& symbols, DecodedBlock& out) {
   if (payload.size() != entry.encoded_size) {
     return "payload size mismatch (" + std::to_string(payload.size()) +
            " vs indexed " + std::to_string(entry.encoded_size) + ")";

@@ -50,7 +50,9 @@ bool looks_like_g10t(std::string_view prefix);
 /// demand (decode_block) so a reader touches only the blocks it needs.
 struct G10tStructure {
   FileHeader header;
-  std::vector<std::string> symbols;
+  /// The persisted symbol table, interned in SymbolTable::global() once per
+  /// file and indexed by file ordinal.
+  std::vector<Symbol> symbols;
   std::vector<LogMeta> meta;
   std::vector<IndexEntry> index;
 };
@@ -71,10 +73,6 @@ struct DecodedBlock {
   std::vector<PhaseEventRecord> phase_events;
   std::vector<BlockingEventRecord> blocking_events;
   std::vector<MonitoringSampleRecord> samples;
-
-  std::size_t record_count() const {
-    return phase_events.size() + blocking_events.size() + samples.size();
-  }
 };
 
 /// Decodes the payload of `entry` (sliced from the file by the caller).
@@ -82,7 +80,7 @@ struct DecodedBlock {
 /// message on any corruption, nullopt on success.
 std::optional<std::string> decode_block(std::string_view payload,
                                         const IndexEntry& entry,
-                                        const std::vector<std::string>& symbols,
+                                        const std::vector<Symbol>& symbols,
                                         DecodedBlock& out);
 
 }  // namespace g10::trace

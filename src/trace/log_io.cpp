@@ -16,8 +16,6 @@ std::string format_double(double v) {
   return ec == std::errc{} ? std::string(buf, ptr) : std::string("0");
 }
 
-}  // namespace
-
 void write_phase_event(std::ostream& os, const PhaseEventRecord& rec) {
   os << "PHASE\t" << (rec.kind == PhaseEventRecord::Kind::Begin ? 'B' : 'E')
      << '\t' << rec.path.to_string() << '\t' << rec.time << '\t' << rec.machine
@@ -25,19 +23,23 @@ void write_phase_event(std::ostream& os, const PhaseEventRecord& rec) {
 }
 
 void write_blocking_event(std::ostream& os, const BlockingEventRecord& rec) {
-  os << "BLOCK\t" << rec.resource << '\t' << rec.path.to_string() << '\t'
-     << rec.begin << '\t' << rec.end << '\t' << rec.machine << '\n';
+  os << "BLOCK\t" << SymbolTable::global().name(rec.resource) << '\t'
+     << rec.path.to_string() << '\t' << rec.begin << '\t' << rec.end << '\t'
+     << rec.machine << '\n';
 }
 
 void write_monitoring_sample(std::ostream& os,
                              const MonitoringSampleRecord& rec) {
-  os << "SAMPLE\t" << rec.resource << '\t' << rec.machine << '\t' << rec.time
-     << '\t' << format_double(rec.value) << '\n';
+  os << "SAMPLE\t" << SymbolTable::global().name(rec.resource) << '\t'
+     << rec.machine << '\t' << rec.time << '\t' << format_double(rec.value)
+     << '\n';
 }
 
 void write_log_meta(std::ostream& os, const LogMeta& meta) {
   os << "META\t" << meta.first << '\t' << meta.second << '\n';
 }
+
+}  // namespace
 
 void write_log(std::ostream& os,
                const std::vector<PhaseEventRecord>& phase_events,
@@ -102,9 +104,9 @@ std::optional<std::string> parse_phase_line(
 std::optional<std::string> parse_block_line(
     const std::vector<std::string_view>& fields, ParsedLog& out) {
   if (fields.size() != 6) return "BLOCK record needs 6 fields";
+  if (fields[1].empty()) return "empty BLOCK resource";
   BlockingEventRecord rec;
-  rec.resource = std::string(fields[1]);
-  if (rec.resource.empty()) return "empty BLOCK resource";
+  rec.resource = SymbolTable::global().intern(fields[1]);
   auto path = parse_phase_path(fields[2]);
   if (!path) return "malformed phase path";
   rec.path = std::move(*path);
@@ -125,9 +127,9 @@ std::optional<std::string> parse_block_line(
 std::optional<std::string> parse_sample_line(
     const std::vector<std::string_view>& fields, ParsedLog& out) {
   if (fields.size() != 5) return "SAMPLE record needs 5 fields";
+  if (fields[1].empty()) return "empty SAMPLE resource";
   MonitoringSampleRecord rec;
-  rec.resource = std::string(fields[1]);
-  if (rec.resource.empty()) return "empty SAMPLE resource";
+  rec.resource = SymbolTable::global().intern(fields[1]);
   const auto machine = parse_int(fields[2]);
   if (!machine) return "malformed SAMPLE machine";
   rec.machine = static_cast<MachineId>(*machine);

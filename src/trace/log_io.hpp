@@ -36,12 +36,6 @@ namespace g10::trace {
 /// the canonical fault-spec string the run was injected with).
 using LogMeta = std::pair<std::string, std::string>;
 
-void write_phase_event(std::ostream& os, const PhaseEventRecord& rec);
-void write_blocking_event(std::ostream& os, const BlockingEventRecord& rec);
-void write_monitoring_sample(std::ostream& os,
-                             const MonitoringSampleRecord& rec);
-void write_log_meta(std::ostream& os, const LogMeta& meta);
-
 /// Writes all loggable records of a run (phase events, blocking events) plus
 /// the given monitoring samples, in a stable order. META records, when
 /// given, come right after the header; the default keeps existing callers'

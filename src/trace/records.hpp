@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/step_function.hpp"
@@ -30,8 +29,8 @@ struct PhaseEventRecord {
 
 /// A phase was blocked on a blocking resource for [begin, end).
 struct BlockingEventRecord {
-  std::string resource;  ///< blocking-resource name, e.g. "GC"
-  PathRef path;          ///< the blocked phase instance
+  Symbol resource = 0;  ///< interned resource name, e.g. "GC"
+  PathRef path;         ///< the blocked phase instance
   TimeNs begin = 0;
   TimeNs end = 0;
   MachineId machine = kGlobalMachine;
@@ -40,7 +39,7 @@ struct BlockingEventRecord {
 /// One periodic monitoring sample: the average consumption rate of
 /// `resource` on `machine` over (previous sample time, time].
 struct MonitoringSampleRecord {
-  std::string resource;
+  Symbol resource = 0;  ///< interned resource name, e.g. "cpu"
   MachineId machine = kGlobalMachine;
   TimeNs time = 0;   ///< end of the measurement window
   double value = 0;  ///< average rate in the resource's units
@@ -50,7 +49,7 @@ struct MonitoringSampleRecord {
 /// Grade10 in a normal run — the monitor samples it — but kept so the
 /// Table II experiment can compare against ground truth.
 struct GroundTruthSeries {
-  std::string resource;
+  Symbol resource = 0;
   MachineId machine = kGlobalMachine;
   double capacity = 0;
   StepFunction series;
@@ -81,19 +80,6 @@ struct RunArtifacts {
 
   /// Final per-vertex algorithm values, for correctness validation.
   std::vector<double> vertex_values;
-
-  const GroundTruthSeries* find_ground_truth(const std::string& resource,
-                                             MachineId machine) const;
 };
-
-inline const GroundTruthSeries* RunArtifacts::find_ground_truth(
-    const std::string& resource, MachineId machine) const {
-  for (const auto& series : ground_truth) {
-    if (series.resource == resource && series.machine == machine) {
-      return &series;
-    }
-  }
-  return nullptr;
-}
 
 }  // namespace g10::trace

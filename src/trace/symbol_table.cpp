@@ -50,11 +50,6 @@ std::string_view SymbolTable::name(Symbol symbol) const {
   return names_[symbol];
 }
 
-std::size_t SymbolTable::size() const {
-  MutexLock lock(mutex_);
-  return names_.size();
-}
-
 void PathRef::push(Symbol type, std::int64_t index) {
   const PathEntry entry{type, index};
   if (size_ < kInlineCapacity) {

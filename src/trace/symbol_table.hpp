@@ -4,12 +4,12 @@
 // the path of (phase-type, instance-index) pairs from the root, e.g.
 //   Job.0/Execute.0/Superstep.3/WorkerCompute.2/ComputeThread.5
 // Engines emit millions of these and the analysis keys every record on one,
-// so phase-type names are interned once in a process-wide SymbolTable and a
-// path travels as a PathRef: an inline small-vector of (symbol, index)
-// pairs carrying an incrementally maintained hash. Records, the `.g10t`
-// path dictionaries and the analysis maps all hold PathRefs; the text form
-// appears only where a path is written or shown (log lines, messages,
-// PhaseInstance::path).
+// so phase-type and resource names are interned once in a process-wide
+// SymbolTable and a path travels as a PathRef: an inline small-vector of
+// (symbol, index) pairs carrying an incrementally maintained hash. Records
+// hold PathRefs and resource Symbols, the model tables resolve Symbols, and
+// the text form appears only where a name is written or shown (log lines,
+// messages, PhaseInstance::path).
 //
 // Symbols are process-local handles: their numeric values depend on intern
 // order and must never be persisted. Rendered output always goes through
@@ -42,6 +42,10 @@ using Symbol = std::uint32_t;
 /// for the table's lifetime because names live in a deque.
 class SymbolTable {
  public:
+  /// Symbol 0, the default of every record's name fields, is the empty
+  /// name: a record whose name was never set renders as "".
+  SymbolTable() { intern(""); }
+
   /// The process-wide table used by PathRef and the engines.
   static SymbolTable& global();
 
@@ -50,8 +54,6 @@ class SymbolTable {
 
   /// The interned spelling of `symbol`.
   std::string_view name(Symbol symbol) const;
-
-  std::size_t size() const;
 
  private:
   struct TransparentHash {

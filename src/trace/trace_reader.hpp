@@ -8,11 +8,12 @@
 //  - Text: the file is mapped (or buffered) and handed to the zero-copy
 //    parser (parse_log_text); filters are applied per record after the
 //    parse.
-//  - Binary: the file is mapped; the header, symbol table, META section,
-//    and block index are parsed, then the index is walked: blocks whose
-//    (machine range, time range, path-type bloom) cannot match the filter
-//    are skipped without touching their payloads, and the rest are decoded
-//    inline, once each, in index order.
+//  - Binary: the file is mapped; the header, symbol table (resolved to
+//    global Symbols once), META section, and block index are parsed, then
+//    the index is walked: blocks whose (machine range, time range,
+//    path-type bloom) cannot match the filter are skipped without touching
+//    their payloads, and the rest are decoded inline, once each, in index
+//    order.
 //
 // Both formats return the same ParseResult shape the text parser produces:
 // corrupt binary blocks surface as ParseError entries (with the block

@@ -9,6 +9,11 @@
 namespace g10::engine {
 namespace {
 
+/// The interned name a record's resource Symbol stands for.
+std::string_view name_of(trace::Symbol resource) {
+  return trace::SymbolTable::global().name(resource);
+}
+
 DataflowConfig small_config() {
   DataflowConfig cfg;
   cfg.cluster.machine_count = 3;
@@ -70,7 +75,7 @@ TEST(DataflowEngineTest, CpuWithinCapacity) {
   const DataflowEngine engine(small_config());
   const auto result = engine.run(three_stage_job());
   for (const auto& gt : result.ground_truth) {
-    if (gt.resource != dataflow_names::kCpu) continue;
+    if (name_of(gt.resource) != dataflow_names::kCpu) continue;
     EXPECT_LE(gt.series.max_over(0, result.makespan), gt.capacity + 1e-9);
   }
 }

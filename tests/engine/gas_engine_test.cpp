@@ -14,6 +14,11 @@
 namespace g10::engine {
 namespace {
 
+/// The interned name a record's resource Symbol stands for.
+std::string_view name_of(trace::Symbol resource) {
+  return trace::SymbolTable::global().name(resource);
+}
+
 using algorithms::Bfs;
 using algorithms::Cdlp;
 using algorithms::PageRank;
@@ -138,7 +143,7 @@ TEST(GasEngineTest, CpuWithinCapacity) {
   const GasEngine engine(small_config());
   const auto result = engine.run(g, PageRank(5));
   for (const auto& gt : result.ground_truth) {
-    if (gt.resource != gas_names::kCpu) continue;
+    if (name_of(gt.resource) != gas_names::kCpu) continue;
     EXPECT_LE(gt.series.max_over(0, result.makespan), gt.capacity + 1e-9);
   }
 }
@@ -271,7 +276,9 @@ TEST(GasFaultTest, CrashRecoveryConvergesToReference) {
   EXPECT_TRUE(saw_recovery_phase);
   bool saw_recovery_block = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == gas_names::kRecovery) saw_recovery_block = true;
+    if (name_of(block.resource) == gas_names::kRecovery) {
+      saw_recovery_block = true;
+    }
   }
   EXPECT_TRUE(saw_recovery_block);
 }
@@ -288,7 +295,7 @@ TEST(GasFaultTest, PartitionIsRiddenOutWithRetries) {
   const auto result = engine.run(g, PageRank(6));
   bool saw_retry = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == gas_names::kRetry) saw_retry = true;
+    if (name_of(block.resource) == gas_names::kRetry) saw_retry = true;
   }
   EXPECT_TRUE(saw_retry);
   EXPECT_GT(result.makespan, baseline.makespan);
@@ -307,7 +314,7 @@ TEST(GasFaultTest, LossyNicCausesRetryBlocksWithoutChangingOutput) {
   const auto result = engine.run(g, PageRank(6));
   bool saw_retry = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == gas_names::kRetry) saw_retry = true;
+    if (name_of(block.resource) == gas_names::kRetry) saw_retry = true;
   }
   EXPECT_TRUE(saw_retry);
   expect_values_near(result.vertex_values, baseline.vertex_values, 1e-12);

@@ -48,12 +48,13 @@ TEST(PhaseLoggerTest, RejectsTakeWithOpenPhases) {
 TEST(PhaseLoggerTest, BlockEventsRecorded) {
   PhaseLogger log;
   log.begin(path("A", 0), 0, 2);
-  log.block("GC", path("A", 0), 3, 7, 2);
-  log.block("GC", path("A", 0), 7, 7, 2);  // zero length: dropped
+  const trace::Symbol gc = trace::SymbolTable::global().intern("GC");
+  log.block(gc, path("A", 0), 3, 7, 2);
+  log.block(gc, path("A", 0), 7, 7, 2);  // zero length: dropped
   log.end(path("A", 0), 10, 2);
   const auto blocks = log.take_blocking_events();
   ASSERT_EQ(blocks.size(), 1u);
-  EXPECT_EQ(blocks[0].resource, "GC");
+  EXPECT_EQ(trace::SymbolTable::global().name(blocks[0].resource), "GC");
   EXPECT_EQ(blocks[0].begin, 3);
   EXPECT_EQ(blocks[0].end, 7);
   EXPECT_EQ(blocks[0].machine, 2);

@@ -13,6 +13,11 @@
 namespace g10::engine {
 namespace {
 
+/// The interned name a record's resource Symbol stands for.
+std::string_view name_of(trace::Symbol resource) {
+  return trace::SymbolTable::global().name(resource);
+}
+
 using algorithms::Bfs;
 using algorithms::Cdlp;
 using algorithms::PageRank;
@@ -135,7 +140,7 @@ TEST(PregelEngineTest, GroundTruthCpuWithinCapacity) {
   const PregelEngine engine(cfg);
   const auto result = engine.run(g, PageRank(5));
   for (const auto& gt : result.ground_truth) {
-    if (gt.resource != pregel_names::kCpu) continue;
+    if (name_of(gt.resource) != pregel_names::kCpu) continue;
     EXPECT_LE(gt.series.max_over(0, result.makespan), gt.capacity + 1e-9);
     // Usage never negative.
     for (const double v : gt.series.values()) EXPECT_GE(v, -1e-9);
@@ -150,7 +155,7 @@ TEST(PregelEngineTest, EmitsGcPausesWhenEnabled) {
   const auto result = engine.run(g, Cdlp(4));
   bool has_gc_block = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == pregel_names::kGc) has_gc_block = true;
+    if (name_of(block.resource) == pregel_names::kGc) has_gc_block = true;
   }
   EXPECT_TRUE(has_gc_block);
   const trace::Symbol gc_pause = trace::SymbolTable::global().intern("GcPause");
@@ -168,7 +173,7 @@ TEST(PregelEngineTest, NoGcWhenDisabled) {
   const PregelEngine engine(cfg);
   const auto result = engine.run(g, Cdlp(4));
   for (const auto& block : result.blocking_events) {
-    EXPECT_NE(block.resource, pregel_names::kGc);
+    EXPECT_NE(name_of(block.resource), pregel_names::kGc);
   }
 }
 
@@ -180,7 +185,7 @@ TEST(PregelEngineTest, SmallQueueCausesMessageQueueStalls) {
   const auto result = engine.run(g, Cdlp(3));
   bool stalled = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == pregel_names::kMessageQueue) stalled = true;
+    if (name_of(block.resource) == pregel_names::kMessageQueue) stalled = true;
   }
   EXPECT_TRUE(stalled);
 }
@@ -266,7 +271,7 @@ TEST(PregelFaultTest, CrashEmitsRecoveryBlocksAndTruncatedPhases) {
   // The recovery window shows up as blocked time.
   bool has_recovery = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == pregel_names::kRecovery) has_recovery = true;
+    if (name_of(block.resource) == pregel_names::kRecovery) has_recovery = true;
   }
   EXPECT_TRUE(has_recovery);
   // The crashed worker's log stops mid-phase: at least one BEGIN has no END.
@@ -297,7 +302,7 @@ TEST(PregelFaultTest, ReconciledCrashLogStaysBalanced) {
   for (const auto& [key, count] : open) EXPECT_EQ(count, 0) << key;
   bool has_recovery = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == pregel_names::kRecovery) has_recovery = true;
+    if (name_of(block.resource) == pregel_names::kRecovery) has_recovery = true;
   }
   EXPECT_TRUE(has_recovery);
   expect_values_near(result.vertex_values,
@@ -315,7 +320,7 @@ TEST(PregelFaultTest, PartitionIsRiddenOutWithRetries) {
   const auto result = engine.run(g, PageRank(6));
   bool has_retry = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == pregel_names::kRetry) has_retry = true;
+    if (name_of(block.resource) == pregel_names::kRetry) has_retry = true;
   }
   EXPECT_TRUE(has_retry);
   EXPECT_GT(result.makespan, baseline.makespan);
@@ -366,7 +371,7 @@ TEST(PregelFaultTest, LossyNicCausesRetryBlocks) {
   const auto result = engine.run(g, PageRank(6));
   bool has_retry = false;
   for (const auto& block : result.blocking_events) {
-    if (block.resource == pregel_names::kRetry) has_retry = true;
+    if (name_of(block.resource) == pregel_names::kRetry) has_retry = true;
   }
   EXPECT_TRUE(has_retry);
   expect_values_near(result.vertex_values,

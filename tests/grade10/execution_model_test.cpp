@@ -26,6 +26,18 @@ TEST(ExecutionModelTest, BuildsHierarchy) {
   EXPECT_EQ(m.type(load).successors.size(), 1u);
 }
 
+TEST(ExecutionModelTest, FindBySymbol) {
+  trace::SymbolTable& symbols = trace::SymbolTable::global();
+  ExecutionModel m;
+  const PhaseTypeId job = m.add_root("Job");
+  const PhaseTypeId step = m.add_child(job, "Step", /*repeated=*/true);
+  EXPECT_EQ(m.find(symbols.intern("Job")), job);
+  EXPECT_EQ(m.find(symbols.intern("Step")), step);
+  // Interned names this model does not declare (lookups are exact).
+  EXPECT_EQ(m.find(symbols.intern("Superstep")), kNoPhaseType);
+  EXPECT_EQ(m.find(symbols.intern("step")), kNoPhaseType);
+}
+
 TEST(ExecutionModelTest, RejectsSecondRoot) {
   ExecutionModel m;
   m.add_root("Job");

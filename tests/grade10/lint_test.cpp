@@ -302,6 +302,55 @@ TEST(TraceLintTest, FindingsFollowRenderedPathOrder) {
                 "5 error(s), 0 warning(s)\n");
 }
 
+// Sample-series findings come out in (resource name, machine) order, not in
+// log order or symbol order: "zeta" is interned (and declared) before
+// "alpha", and the log emits zeta's series and the higher machines first.
+TEST(TraceLintTest, SampleFindingsFollowResourceNameOrder) {
+  trace::SymbolTable::global().intern("zeta");
+  trace::SymbolTable::global().intern("alpha");
+  std::istringstream is(
+      "PHASE Job\n"
+      "PHASE Work PARENT=Job\n"
+      "RESOURCE zeta CONSUMABLE CAPACITY=4\n"
+      "RESOURCE alpha CONSUMABLE CAPACITY=4\n"
+      "DEFAULT VARIABLE 1\n");
+  core::ModelParseResult model = core::parse_model(is);
+  ASSERT_TRUE(model.ok());
+  std::string log =
+      "PHASE\tB\tJob.0\t0\t-1\n"
+      "PHASE\tE\tJob.0\t5000\t-1\n";
+  for (int m = 0; m < 3; ++m) {
+    const std::string work = "Job.0/Work." + std::to_string(m) + "\t";
+    log += "PHASE\tB\t" + work + "0\t" + std::to_string(m) + "\n";
+    log += "PHASE\tE\t" + work + "5000\t" + std::to_string(m) + "\n";
+  }
+  const auto series = [&log](const char* resource, int machine,
+                             std::initializer_list<int> times) {
+    for (const int t : times) {
+      log += std::string("SAMPLE\t") + resource + "\t" +
+             std::to_string(machine) + "\t" + std::to_string(t) + "\t1\n";
+    }
+  };
+  series("zeta", 1, {100, 200, 200, 300});        // repeats a time
+  series("zeta", 0, {100, 200, 300, 400, 2400});  // 2000ns gap
+  series("alpha", 2, {100, 300, 200, 400});       // goes back in time
+  series("alpha", 1, {100, 200, 300, 400});       // clean
+  series("alpha", 0, {100, 200, 300, 400, 2400});
+  const trace::ParseResult parsed = trace::parse_log_text(log);
+  ASSERT_TRUE(parsed.ok());
+  std::ostringstream os;
+  render_text(os, lint_trace(model.model, parsed.log, {}, "order.log"));
+  const std::string gap =
+      "order.log: warning: [trace-sample-gap] series has a 2000ns gap "
+      "against a median period of 100ns (dropped samples?)  ";
+  const std::string nonmonotonic =
+      "order.log: error: [trace-sample-nonmonotonic] series repeats or "
+      "decreases its sample time at 200ns  ";
+  EXPECT_EQ(os.str(), gap + "(alpha@0)\n" + nonmonotonic + "(alpha@2)\n" +
+                          gap + "(zeta@0)\n" + nonmonotonic + "(zeta@1)\n" +
+                          "2 error(s), 2 warning(s)\n");
+}
+
 // ---------------------------------------------------------------------------
 // Clean corpus: the shipped example models and a real engine run must not
 // trigger anything.

@@ -20,6 +20,18 @@ TEST(ResourceModelTest, AddAndFind) {
   EXPECT_EQ(m.resource(gc).kind, ResourceKind::kBlocking);
 }
 
+TEST(ResourceModelTest, FindBySymbol) {
+  trace::SymbolTable& symbols = trace::SymbolTable::global();
+  ResourceModel m;
+  const ResourceId cpu = m.add_consumable("cpu", 8.0);
+  const ResourceId gc = m.add_blocking("GC");
+  EXPECT_EQ(m.find(symbols.intern("cpu")), cpu);
+  EXPECT_EQ(m.find(symbols.intern("GC")), gc);
+  // Interned names this model does not declare (lookups are exact).
+  EXPECT_EQ(m.find(symbols.intern("network")), kNoResource);
+  EXPECT_EQ(m.find(symbols.intern("gc")), kNoResource);
+}
+
 TEST(ResourceModelTest, ScopesDefaultPerMachine) {
   ResourceModel m;
   const ResourceId cpu = m.add_consumable("cpu", 2.0);

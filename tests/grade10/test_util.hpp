@@ -27,13 +27,15 @@ inline void add_phase(std::vector<trace::PhaseEventRecord>& events,
 inline trace::BlockingEventRecord make_block(
     const std::string& resource, const std::string& path, TimeNs begin,
     TimeNs end, trace::MachineId machine = trace::kGlobalMachine) {
-  return {resource, make_path(path), begin, end, machine};
+  return {trace::SymbolTable::global().intern(resource), make_path(path),
+          begin, end, machine};
 }
 
 inline trace::MonitoringSampleRecord make_sample(
     const std::string& resource, trace::MachineId machine, TimeNs time,
     double value) {
-  return {resource, machine, time, value};
+  return {trace::SymbolTable::global().intern(resource), machine, time,
+          value};
 }
 
 }  // namespace g10::core::testing

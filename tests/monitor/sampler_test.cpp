@@ -7,9 +7,13 @@
 namespace g10::monitor {
 namespace {
 
+trace::Symbol sym(std::string_view name) {
+  return trace::SymbolTable::global().intern(name);
+}
+
 trace::GroundTruthSeries make_series() {
   trace::GroundTruthSeries gt;
-  gt.resource = "cpu";
+  gt.resource = sym("cpu");
   gt.machine = 0;
   gt.capacity = 4.0;
   gt.series.set(0, 2.0);
@@ -27,7 +31,7 @@ TEST(SamplerTest, SamplesAverageRates) {
   EXPECT_EQ(samples[1].time, 200);
   EXPECT_DOUBLE_EQ(samples[1].value, 4.0);
   EXPECT_DOUBLE_EQ(samples[2].value, 0.0);
-  EXPECT_EQ(samples[0].resource, "cpu");
+  EXPECT_EQ(trace::SymbolTable::global().name(samples[0].resource), "cpu");
   EXPECT_EQ(samples[0].machine, 0);
 }
 
@@ -43,7 +47,7 @@ TEST(SamplerTest, ClipsFinalWindowAtEnd) {
 TEST(SamplerTest, MultipleSeriesAllSampled) {
   auto a = make_series();
   auto b = make_series();
-  b.resource = "network";
+  b.resource = sym("network");
   b.machine = 1;
   const auto samples = sample_ground_truth({a, b}, 100, 200);
   EXPECT_EQ(samples.size(), 4u);
@@ -51,17 +55,17 @@ TEST(SamplerTest, MultipleSeriesAllSampled) {
 
 TEST(DownsampleTest, FactorOneIsIdentity) {
   std::vector<trace::MonitoringSampleRecord> samples{
-      {"cpu", 0, 100, 1.0}, {"cpu", 0, 200, 3.0}};
+      {sym("cpu"), 0, 100, 1.0}, {sym("cpu"), 0, 200, 3.0}};
   const auto out = downsample(samples, 1);
   EXPECT_EQ(out.size(), 2u);
 }
 
 TEST(DownsampleTest, MergesAverages) {
   std::vector<trace::MonitoringSampleRecord> samples{
-      {"cpu", 0, 100, 1.0},
-      {"cpu", 0, 200, 3.0},
-      {"cpu", 0, 300, 5.0},
-      {"cpu", 0, 400, 7.0}};
+      {sym("cpu"), 0, 100, 1.0},
+      {sym("cpu"), 0, 200, 3.0},
+      {sym("cpu"), 0, 300, 5.0},
+      {sym("cpu"), 0, 400, 7.0}};
   const auto out = downsample(samples, 2);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].time, 200);
@@ -72,7 +76,9 @@ TEST(DownsampleTest, MergesAverages) {
 
 TEST(DownsampleTest, TrailingPartialGroupAveraged) {
   std::vector<trace::MonitoringSampleRecord> samples{
-      {"cpu", 0, 100, 2.0}, {"cpu", 0, 200, 4.0}, {"cpu", 0, 300, 9.0}};
+      {sym("cpu"), 0, 100, 2.0},
+      {sym("cpu"), 0, 200, 4.0},
+      {sym("cpu"), 0, 300, 9.0}};
   const auto out = downsample(samples, 2);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_DOUBLE_EQ(out[0].value, 3.0);
@@ -81,10 +87,10 @@ TEST(DownsampleTest, TrailingPartialGroupAveraged) {
 
 TEST(DownsampleTest, StreamsAreSeparated) {
   std::vector<trace::MonitoringSampleRecord> samples{
-      {"cpu", 0, 100, 1.0},
-      {"cpu", 1, 100, 10.0},
-      {"cpu", 0, 200, 3.0},
-      {"cpu", 1, 200, 30.0}};
+      {sym("cpu"), 0, 100, 1.0},
+      {sym("cpu"), 1, 100, 10.0},
+      {sym("cpu"), 0, 200, 3.0},
+      {sym("cpu"), 1, 200, 30.0}};
   const auto out = downsample(samples, 2);
   ASSERT_EQ(out.size(), 2u);
   // One merged sample per machine.
@@ -118,10 +124,10 @@ TEST(SamplerDropoutTest, DropsSamplesOnlyInsideWindows) {
   faults.resolve(kSecond);
 
   std::vector<trace::MonitoringSampleRecord> samples{
-      {"cpu", 0, 50 * kMillisecond, 1.0},
-      {"cpu", 0, 150 * kMillisecond, 2.0},   // dropped
-      {"cpu", 1, 150 * kMillisecond, 3.0},   // other machine: kept
-      {"cpu", 0, 250 * kMillisecond, 4.0}};
+      {sym("cpu"), 0, 50 * kMillisecond, 1.0},
+      {sym("cpu"), 0, 150 * kMillisecond, 2.0},   // dropped
+      {sym("cpu"), 1, 150 * kMillisecond, 3.0},   // other machine: kept
+      {sym("cpu"), 0, 250 * kMillisecond, 4.0}};
   const auto kept = apply_sampler_dropout(samples, faults);
   ASSERT_EQ(kept.size(), 3u);
   EXPECT_DOUBLE_EQ(kept[0].value, 1.0);

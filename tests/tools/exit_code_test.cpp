@@ -482,6 +482,23 @@ TEST(EnsembleExitCodeTest, NonFiniteFloatFlagsAreBadArgs) {
   EXPECT_FALSE(std::filesystem::exists(out));
 }
 
+// --rlimit-as-mb 17592186044417 (2^44 + 1) used to wrap to a 1 MiB limit
+// that killed every worker while the fleet exited 0, and 2^44 wrapped to 0
+// ("no limit"); a --rlimit-cpu-s whose ceiling exceeds rlim_t was undefined
+// behaviour in the cast. Both are rejected before any process starts.
+TEST(EnsembleExitCodeTest, RlimitsBeyondRlimTAreBadArgs) {
+  const std::string out = (test_root() / "rlimit_fleet").string();
+  for (const char* flags :
+       {" --rlimit-as-mb 17592186044416", " --rlimit-as-mb 17592186044417",
+        " --rlimit-as-mb 9223372036854775807", " --rlimit-cpu-s 1e300",
+        " --rlimit-cpu-s 18446744073709551616"}) {
+    EXPECT_EQ(exit_code(tiny_fleet(out) + " --jobs 1 --isolate" + flags),
+              kExitBadArgs)
+        << flags;
+  }
+  EXPECT_FALSE(std::filesystem::exists(out));
+}
+
 TEST(LintExitCodeTest, NonFiniteModelNumbersAreErrors) {
   const std::string model = (test_root() / "nonfinite.g10").string();
   {

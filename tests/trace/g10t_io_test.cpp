@@ -17,6 +17,8 @@
 namespace g10::trace {
 namespace {
 
+Symbol sym(std::string_view name) { return SymbolTable::global().intern(name); }
+
 std::string render(const ParsedLog& log) {
   std::ostringstream os;
   write_log(os, log.phase_events, log.blocking_events, log.samples, log.meta);
@@ -186,17 +188,17 @@ ParsedLog edge_case_log() {
                               PathRef{}.child("Job", 0), 250, 3});
 
   log.blocking_events.push_back(
-      {"GC", PathRef{}.child("Job", 0).child("W", 2), -10, 20, 1});
+      {sym("GC"), PathRef{}.child("Job", 0).child("W", 2), -10, 20, 1});
   log.blocking_events.push_back(
-      {"MessageQueue", PathRef{}.child("Job", 0), 5, 5, 2});
+      {sym("MessageQueue"), PathRef{}.child("Job", 0), 5, 5, 2});
 
-  log.samples.push_back({"cpu", 0, 0, 0.1});  // 0.1 is inexact in binary
-  log.samples.push_back({"cpu", 1, 10, -0.0});
+  log.samples.push_back({sym("cpu"), 0, 0, 0.1});  // 0.1 is inexact
+  log.samples.push_back({sym("cpu"), 1, 10, -0.0});
   log.samples.push_back(
-      {"network", 2, 20, std::numeric_limits<double>::infinity()});
+      {sym("network"), 2, 20, std::numeric_limits<double>::infinity()});
   log.samples.push_back(
-      {"network", 3, 30, std::numeric_limits<double>::denorm_min()});
-  log.samples.push_back({"cpu", 4, 40, 1.0 / 3.0});
+      {sym("network"), 3, 30, std::numeric_limits<double>::denorm_min()});
+  log.samples.push_back({sym("cpu"), 4, 40, 1.0 / 3.0});
   return log;
 }
 
@@ -242,8 +244,8 @@ TEST(G10tIoTest, ManyDistinctSymbolsRoundTripWithUniqueOrdinals) {
   EXPECT_EQ(render(decode_all(bytes)), render(log));
   const G10tStructureParse parsed = parse_g10t_structure(bytes);
   ASSERT_TRUE(parsed.ok());
-  std::set<std::string> distinct(parsed.structure.symbols.begin(),
-                                 parsed.structure.symbols.end());
+  const std::set<Symbol> distinct(parsed.structure.symbols.begin(),
+                                  parsed.structure.symbols.end());
   EXPECT_EQ(distinct.size(), parsed.structure.symbols.size());
   EXPECT_EQ(distinct.size(), 400u);
 }
@@ -275,7 +277,7 @@ TEST(G10tIoTest, IndexRangesAreTight) {
   log.phase_events.push_back(
       {PhaseEventRecord::Kind::End, PathRef{}.child("Job", 0), 900, 5});
   log.blocking_events.push_back(
-      {"GC", PathRef{}.child("Job", 0), 50, 1200, 3});
+      {sym("GC"), PathRef{}.child("Job", 0), 50, 1200, 3});
   const std::string bytes = encode(log);
   const G10tStructureParse parsed = parse_g10t_structure(bytes);
   ASSERT_TRUE(parsed.ok());
@@ -293,6 +295,27 @@ TEST(G10tIoTest, IndexRangesAreTight) {
   EXPECT_EQ(blocking.kind, BlockKind::kBlocking);
   EXPECT_EQ(blocking.time_min, 50);
   EXPECT_EQ(blocking.time_max, 1200);
+}
+
+TEST(G10tIoTest, PhaseTypeAndResourceWithOneNameShareOneSymbol) {
+  // Faulted runs name a phase type and a blocking resource "Recovery": the
+  // file stores the name once, and both decode to the same global Symbol.
+  ParsedLog log;
+  const PathRef recovery = PathRef{}.child("Job", 0).child("Recovery", 0);
+  log.phase_events.push_back({PhaseEventRecord::Kind::Begin, recovery, 10, 1});
+  log.phase_events.push_back({PhaseEventRecord::Kind::End, recovery, 90, 1});
+  log.blocking_events.push_back({sym("Recovery"), recovery, 10, 90, 1});
+  const std::string bytes = encode(log);
+  const G10tStructureParse parsed = parse_g10t_structure(bytes);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.structure.symbols,
+            (std::vector<Symbol>{sym("Job"), sym("Recovery")}));
+  const ParsedLog decoded = decode_all(bytes);
+  ASSERT_EQ(decoded.blocking_events.size(), 1u);
+  EXPECT_EQ(decoded.blocking_events[0].resource, sym("Recovery"));
+  EXPECT_EQ(decoded.blocking_events[0].resource,
+            decoded.phase_events[0].path.leaf().type);
+  EXPECT_EQ(render(decoded), render(log));
 }
 
 TEST(G10tIoTest, CorruptPayloadFailsDecodeCleanly) {

@@ -10,6 +10,8 @@
 namespace g10::trace {
 namespace {
 
+Symbol sym(std::string_view name) { return SymbolTable::global().intern(name); }
+
 /// Round-trips parsed records back to text so two ParseResults can be
 /// compared for record-level equality with one string comparison.
 std::string serialize(const ParsedLog& log) {
@@ -25,10 +27,11 @@ TEST(LogIoTest, WriteParseRoundTrip) {
   phases.push_back({PhaseEventRecord::Kind::End, PathRef{}.child("Job", 0),
                     5000, kGlobalMachine});
   std::vector<BlockingEventRecord> blocks;
-  blocks.push_back({"GC", PathRef{}.child("Job", 0).child("T", 2), 10, 20, 1});
+  blocks.push_back(
+      {sym("GC"), PathRef{}.child("Job", 0).child("T", 2), 10, 20, 1});
   std::vector<MonitoringSampleRecord> samples;
-  samples.push_back({"cpu", 0, 1000, 3.25});
-  samples.push_back({"network", 1, 2000, 1.5e8});
+  samples.push_back({sym("cpu"), 0, 1000, 3.25});
+  samples.push_back({sym("network"), 1, 2000, 1.5e8});
 
   std::ostringstream os;
   write_log(os, phases, blocks, samples);
@@ -42,7 +45,8 @@ TEST(LogIoTest, WriteParseRoundTrip) {
   EXPECT_EQ(result.log.phase_events[0].path.to_string(), "Job.0");
 
   ASSERT_EQ(result.log.blocking_events.size(), 1u);
-  EXPECT_EQ(result.log.blocking_events[0].resource, "GC");
+  EXPECT_EQ(SymbolTable::global().name(result.log.blocking_events[0].resource),
+            "GC");
   EXPECT_EQ(result.log.blocking_events[0].begin, 10);
   EXPECT_EQ(result.log.blocking_events[0].end, 20);
   EXPECT_EQ(result.log.blocking_events[0].machine, 1);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "trace/records.hpp"
 
 namespace g10::trace {
 namespace {
@@ -24,6 +25,13 @@ TEST(SymbolTableTest, DistinctNamesGetDistinctSymbols) {
   const Symbol a = table.intern("SymbolTableTestA");
   const Symbol b = table.intern("SymbolTableTestB");
   EXPECT_NE(a, b);
+}
+
+TEST(SymbolTableTest, DefaultRecordNamesAreEmpty) {
+  const SymbolTable& table = SymbolTable::global();
+  EXPECT_EQ(table.name(0), "");
+  EXPECT_EQ(table.name(MonitoringSampleRecord{}.resource), "");
+  EXPECT_EQ(table.name(BlockingEventRecord{}.resource), "");
 }
 
 TEST(PathRefTest, EmptyPath) {

@@ -481,12 +481,15 @@ int main(int argc, char** argv) {
       if (!n || *n < 1) return usage();
       args.jobs = static_cast<std::size_t>(*n);
     } else if (arg == "--rlimit-as-mb") {
+      // Both limits become a 64-bit rlim_t: the MiB count shifted left by
+      // 20 bits, and the ceiling of the CPU seconds (any double below 2^64
+      // has a ceiling below 2^64).
       const auto n = parse_int(v);
-      if (!n || *n < 1) return usage();
+      if (!n || *n < 1 || *n >= std::int64_t{1} << 44) return usage();
       args.rlimit_as_mb = static_cast<std::uint64_t>(*n);
     } else if (arg == "--rlimit-cpu-s") {
       const auto s = parse_double(v);
-      if (!s || *s < 0.0) return usage();
+      if (!s || *s < 0.0 || *s >= 0x1p64) return usage();
       args.rlimit_cpu_s = *s;
     } else if (arg == "--hb-timeout-s") {
       const auto s = parse_double(v);

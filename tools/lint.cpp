@@ -100,14 +100,14 @@ int run(const Args& args) {
 
   lint::LintReport report;
   if (args.log_path.empty()) {
-    report = lint::preflight_model(*model_text, args.model_path);
+    report = lint::lint_model_text(*model_text, args.model_path);
   } else {
     // Trace rules cross-check against the parsed model, so the model must
     // at least parse; its lint findings explain why when it does not.
     std::istringstream model_stream(*model_text);
     core::ModelParseResult model = core::parse_model(model_stream);
     if (!model.ok()) {
-      report = lint::preflight_model(*model_text, args.model_path);
+      report = lint::lint_model_text(*model_text, args.model_path);
       std::cerr << "model does not parse; skipping trace lint\n";
     } else {
       // An unreadable file sniffs as text; the read below reports it.
